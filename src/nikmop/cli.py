@@ -119,6 +119,25 @@ class ConfigError(ValueError):
 _RAY_KEYS = {"start_size", "positions", "shift_position", "steps", "level"}
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _config_point(i: int, value) -> complex:
+    """One ``points`` entry: a real number or a pair [re, im]."""
+    if _is_number(value):
+        return complex(value)
+    if (
+        isinstance(value, (list, tuple))
+        and len(value) == 2
+        and all(_is_number(v) for v in value)
+    ):
+        return complex(value[0], value[1])
+    raise ConfigError(
+        f"points[{i}] must be a number or a pair [re, im], got {value!r}"
+    )
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     kind: str
@@ -189,7 +208,19 @@ class ExperimentConfig:
             extra = set(idx) - {"n1", "n2"}
             if extra:
                 raise ConfigError(f"unknown keys: index.{sorted(extra)[0]}")
-            index = (tuple(idx["n1"]), tuple(idx["n2"]))
+            try:
+                checked = IndexPair(tuple(idx["n1"]), tuple(idx["n2"]))
+            except ValueError as exc:
+                raise ConfigError(f"index: {exc}") from exc
+            if (len(checked.n1), len(checked.n2)) != (
+                len(data["system1"]), len(data["system2"])
+            ):
+                raise ConfigError(
+                    "index: n1 and n2 need one entry per generator of "
+                    f"system1 ({len(data['system1'])}) and system2 "
+                    f"({len(data['system2'])})"
+                )
+            index = (checked.n1, checked.n2)
         ratios = data.get("ratios", {})
         extra = set(ratios) - {"p1", "p2"}
         if extra:
@@ -205,8 +236,7 @@ class ExperimentConfig:
             ray=dict(data.get("ray", {})),
             shift=tuple(data["shift"]) if data.get("shift") is not None else None,
             points=tuple(
-                complex(p[0], p[1]) if isinstance(p, (list, tuple)) else complex(p)
-                for p in data.get("points", ())
+                _config_point(i, p) for i, p in enumerate(data.get("points", ()))
             ),
             ratios={k: tuple(v) for k, v in ratios.items()},
             panels=data.get("panels", 256),

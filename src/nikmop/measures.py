@@ -238,16 +238,19 @@ class DiscretizedMeasure:
         hi = max([b] + locs)
         return (lo, hi)
 
-    @property
+    @functools.cached_property
     def support_points(self) -> tuple:
         return self.nodes + tuple(loc for loc, _ in self.atoms)
 
-    @property
+    @functools.cached_property
     def signed_weights(self) -> tuple:
+        # Built once at the measure's own precision: the first reader may
+        # sit at any ambient precision, and the cache outlives that call.
         s = self.sign
-        return tuple(s * w for w in self.weights) + tuple(
-            s * m for _, m in self.atoms
-        )
+        with working(self.precision_bits):
+            return tuple(s * w for w in self.weights) + tuple(
+                s * m for _, m in self.atoms
+            )
 
     def quad(self, values: Sequence):
         """Integral of a function given by its values on ``support_points``."""
@@ -301,6 +304,20 @@ def build_gauss_rule(
     return DiscretizedMeasure(
         spec=spec, precision_bits=precision_bits, nodes=xs, weights=ws, atoms=atoms
     )
+
+
+def cauchy_sum_and_slope(weights: Sequence, points: Sequence, z):
+    """sum w / (z - x) and its derivative -sum w / (z - x)^2 in z, at the
+    ambient precision.  The value terms are the ones ``mp.fsum`` sums in
+    every Cauchy transform here, so the value matches them bit for bit."""
+    terms = []
+    slopes = []
+    for w, x in zip(weights, points):
+        d = z - x
+        t = w / d
+        terms.append(t)
+        slopes.append(t / d)
+    return mp.fsum(terms), -mp.fsum(slopes)
 
 
 def cauchy_transform(measure: DiscretizedMeasure, z):
@@ -360,6 +377,7 @@ class NikishinSystem:
     s_j on s_j's support; ``s_hat(j, k, z)`` is the Cauchy transform of that
     chained measure and ``s_weights(j, k)`` its point masses, so chained
     measures can be integrated against like any other discrete measure.
+    Densities and point masses share ``_density_cache``.
     """
 
     generators: tuple
@@ -394,20 +412,32 @@ class NikishinSystem:
 
     def s_weights(self, j: int, k: int) -> tuple:
         """Point masses of <s_j, ..., s_k> on the support of s_j."""
-        gen = self.generators[j]
-        with working(gen.precision_bits):
-            return tuple(
-                w * d for w, d in zip(gen.signed_weights, self.density(j, k))
-            )
+        key = ("weights", j, k)
+        if key not in self._density_cache:
+            gen = self.generators[j]
+            density = self.density(j, k)
+            with working(gen.precision_bits):
+                self._density_cache[key] = tuple(
+                    w * d for w, d in zip(gen.signed_weights, density)
+                )
+        return self._density_cache[key]
 
     def s_hat(self, j: int, k: int, z):
         """Cauchy transform of <s_j, ..., s_k> at z (z off s_j's support)."""
         gen = self.generators[j]
+        weights = self.s_weights(j, k)
         with working(gen.precision_bits):
             return mp.fsum(
-                w / (z - x)
-                for w, x in zip(self.s_weights(j, k), gen.support_points)
+                w / (z - x) for w, x in zip(weights, gen.support_points)
             )
+
+    def s_hat_and_slope(self, j: int, k: int, z):
+        """``s_hat(j, k, z)`` and its derivative -sum w / (z - x)^2 in z,
+        from one pass over the point masses."""
+        gen = self.generators[j]
+        weights = self.s_weights(j, k)
+        with working(gen.precision_bits):
+            return cauchy_sum_and_slope(weights, gen.support_points, z)
 
 
 def check_cauchy_identity(system: NikishinSystem, i: int, j: int, z) -> dict:

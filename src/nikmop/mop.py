@@ -20,8 +20,18 @@ from dataclasses import dataclass, field
 
 from mpmath import mp
 
-from .measures import DiscretizedMeasure, MeasureError, NikishinSystem
-from .polys import poly_eval, poly_eval_from_roots, poly_from_roots
+from .measures import (
+    DiscretizedMeasure,
+    MeasureError,
+    NikishinSystem,
+    cauchy_sum_and_slope,
+)
+from .polys import (
+    poly_eval,
+    poly_eval_and_slope,
+    poly_eval_from_roots,
+    poly_from_roots,
+)
 from .precision import pivot_threshold, refine_tolerance, working
 
 
@@ -333,13 +343,50 @@ class MopSolution:
                     if self.index.n1[k]:
                         acc += self.a(k, z) * self.pair.s1.s_hat(j + 1, k, z)
                 return acc
-            t = -j
-            src = self.pair.s2.generators[t - 1]
-            chain = self._neg_chain(t - 1)
+            src = self.pair.s2.generators[-j - 1]
             return mp.fsum(
-                w * v / (z - x)
-                for w, v, x in zip(src.signed_weights, chain, src.support_points)
+                p / (z - x)
+                for p, x in zip(self._chain_products(-j - 1), src.support_points)
             )
+
+    def form_and_slope(self, j: int, z):
+        """``form(j, z)`` and its derivative in z, in one pass.
+
+        Polynomial blocks carry their derivative through Horner, each
+        chained transform its slope -sum w / (z - x)^2, and a negative level
+        sums -sum w v / (z - x)^2 over the cached products w v.  The value
+        is computed exactly as ``form`` computes it.
+        """
+        m1, m2 = self.index.m1, self.index.m2
+        if j > m1 or j < -m2 - 1:
+            raise IndexError(f"form index {j} out of range")
+        with working(self.precision_bits):
+            if j < 0:
+                src = self.pair.s2.generators[-j - 1]
+                return cauchy_sum_and_slope(
+                    self._chain_products(-j - 1), src.support_points, z
+                )
+            val, slope = poly_eval_and_slope(self.coeffs[j], z)
+            for k in range(j + 1, m1 + 1):
+                if self.index.n1[k]:
+                    p, dp = poly_eval_and_slope(self.coeffs[k], z)
+                    s, ds = self.pair.s1.s_hat_and_slope(j + 1, k, z)
+                    val += p * s
+                    slope += dp * s + p * ds
+            return val, slope
+
+    def _chain_products(self, t: int) -> tuple:
+        """Point masses w v of the second system's generator t times the
+        values v of A_{-t} on its support."""
+        key = ("products", t)
+        if key not in self._cache:
+            src = self.pair.s2.generators[t]
+            chain = self._neg_chain(t)
+            with working(self.precision_bits):
+                self._cache[key] = tuple(
+                    w * v for w, v in zip(src.signed_weights, chain)
+                )
+        return self._cache[key]
 
     def _neg_chain(self, t: int) -> tuple:
         """Values of A_{-t} on the support of the second system's generator
@@ -358,15 +405,13 @@ class MopSolution:
                             acc += self.a(k, x) * self.pair.base_density1(k)[p]
                     vals.append(acc)
             else:
-                prev = self._neg_chain(t - 1)
+                products = self._chain_products(t - 1)
                 src = self.pair.s2.generators[t - 1]
                 dst = self.pair.s2.generators[t]
                 vals = [
                     mp.fsum(
-                        w * v / (y - x)
-                        for w, v, x in zip(
-                            src.signed_weights, prev, src.support_points
-                        )
+                        p / (y - x)
+                        for p, x in zip(products, src.support_points)
                     )
                     for y in dst.support_points
                 ]
@@ -389,19 +434,6 @@ class MopSolution:
                 vals = tuple(self.form(j, x) for x in meas.support_points)
         self._cache[key] = tuple(vals)
         return self._cache[key]
-
-    def normality_report(self, rel_tol=None) -> dict:
-        """Leading-coefficient magnitudes relative to the solution scale."""
-        with working(self.precision_bits):
-            scale = max(
-                (abs(c) for block in self.coeffs for c in block),
-                default=mp.mpf(0),
-            )
-            out = {}
-            for j, block in enumerate(self.coeffs):
-                if block:
-                    out[j] = abs(block[-1]) / scale if scale else mp.mpf(0)
-        return out
 
 
 def solve_mop(
@@ -501,36 +533,45 @@ SCAN_GRID_FACTOR = 16
 SCAN_GRID_CAP = 4096
 
 
-def _refine_bracket(f, a, b, fa, fb, rel_tol):
-    """Anderson-Bjorck bracket refinement with periodic bisection."""
-    count = 0
+def _safeguarded_newton(fdf, a, b, fa, fb, rel_tol):
+    """Zero of f inside the sign bracket a < b, f(a) f(b) < 0, where
+    ``fdf(x)`` returns (f(x), f'(x)).
+
+    Starts from the secant point of the scan values.  Every evaluation
+    tightens the bracket.  A Newton step is taken when it lands strictly
+    inside the bracket and is at most half the step before last; otherwise
+    the bracket is bisected.  The loop stops once a step, Newton or
+    bisection, is within ``rel_tol * max(1, |a|, |b|)``.  Newton steps
+    that stop halving, as when rounding noise in f swamps the slope, give
+    way to bisection, which halves the bracket, so the loop always ends.
+    """
+    neg, pos = (a, b) if fa < 0 else (b, a)
+    x = a - fa * (b - a) / (fb - fa)
+    step = step_before_last = b - a
     while True:
-        width = b - a
-        if abs(width) <= rel_tol * max(mp.mpf(1), abs(a), abs(b)):
-            break
-        if count % 4 == 3 or fb == fa:
-            c = a + width / 2
+        fx, dfx = fdf(x)
+        if fx == 0:
+            return x
+        if fx < 0:
+            neg = x
         else:
-            c = b - fb * width / (fb - fa)
-            if not (a < c < b):
-                c = a + width / 2
-        fc = f(c)
-        if fc == 0:
-            return c
-        if (fc > 0) == (fb > 0):
-            g = 1 - fc / fb
-            fa = fa * (g if g > 0 else mp.mpf("0.5"))
-        else:
-            a, fa = b, fb
-        b, fb = c, fc
-        if a > b:
-            a, b, fa, fb = b, a, fb, fa
-        count += 1
-        if count > 1400:
-            raise ZeroCountMismatch(
-                f"bracket refinement stalled near {mp.nstr(a, 10)}"
-            )
-    return (a + b) / 2
+            pos = x
+        a, b = min(neg, pos), max(neg, pos)
+        tol = rel_tol * max(mp.mpf(1), abs(a), abs(b))
+        if dfx != 0:
+            newton = fx / dfx
+            # Checked before the bracket test: a step this small may round
+            # onto the bracket end it started from.
+            if abs(newton) <= tol:
+                return x - newton
+            if a < x - newton < b and 2 * abs(newton) <= abs(step_before_last):
+                step_before_last, step = step, newton
+                x = x - newton
+                continue
+        step_before_last, step = step, (b - a) / 2
+        x = a + step
+        if step <= tol:
+            return x
 
 
 def _atom_scan_points(measure, lo, hi, rel_tol):
@@ -558,10 +599,15 @@ def _atom_scan_points(measure, lo, hi, rel_tol):
 def extract_Q(solution: MopSolution, j: int) -> ZeroSet:
     """Locate the zeros of the form A_j inside the hull of the unified
     measure j by a sign scan on a Chebyshev-distributed grid (16x the
-    predicted count, doubled on shortfall up to 4096 points), then refine
-    each bracket to the precision-derived relative width.  When the
+    predicted count, doubled on shortfall up to 4096 points).  When the
     measure carries mass points the grid is topped up with ladders from
     _atom_scan_points.
+
+    Each sign bracket is refined by a safeguarded Newton iteration on
+    ``MopSolution.form_and_slope`` (_safeguarded_newton): Newton steps that
+    stay inside the bracket and at least halve every second step, bisection
+    otherwise, stopping once a step falls within
+    ``refine_tolerance(bits) * max(1, |a|, |b|)`` of the bracket [a, b].
 
     Raises ZeroCountMismatch when the count cannot be realized: that is a
     genuine structural failure, not something to paper over.
@@ -580,6 +626,9 @@ def extract_Q(solution: MopSolution, j: int) -> ZeroSet:
 
     def f(x):
         return solution.form(j, x)
+
+    def fdf(x):
+        return solution.form_and_slope(j, x)
 
     with working(bits):
         mid = (lo + hi) / 2
@@ -619,7 +668,9 @@ def extract_Q(solution: MopSolution, j: int) -> ZeroSet:
             grid_size = min(2 * grid_size, SCAN_GRID_CAP)
         for i in brackets:
             zeros.append(
-                _refine_bracket(f, xs[i], xs[i + 1], vals[i], vals[i + 1], rel_tol)
+                _safeguarded_newton(
+                    fdf, xs[i], xs[i + 1], vals[i], vals[i + 1], rel_tol
+                )
             )
         zeros.sort()
     return ZeroSet(j=j, zeros=tuple(zeros), expected=expected)
@@ -645,30 +696,6 @@ class VaryingData:
     K: dict
     kappa: dict
     epsilon: dict
-
-    def q_poly(self, j: int):
-        """Orthonormal-normalized zero polynomial kappa_j * Q_j at z."""
-        kappa = self.kappa[j]
-        zs = self.zero_sets[j]
-        return lambda z: kappa * zs.poly_eval(z)
-
-    def rho_weights(self, j: int) -> tuple:
-        """Point masses of the varying measure rho_j on the unified support
-        j: weight * K_{j+1}^2 * H_j / (Q_{j-1} Q_{j+1}) pointwise.  With
-        H_j = Q_{j+1} A_j / Q_j the Q_{j+1} factor cancels, leaving
-        weight * K_{j+1}^2 * A_j / (Q_j Q_{j-1})."""
-        sol = self.solution
-        meas = sol.pair.measure(j)
-        q_here = self.zero_sets[j]
-        q_lo = self.zero_sets.get(j - 1)
-        k_next = self.K.get(j + 1, mp.mpf(1))
-        vals = sol.form_on_support(j)
-        out = []
-        with working(sol.precision_bits):
-            for w, x, av in zip(meas.signed_weights, meas.support_points, vals):
-                lo = q_lo.poly_eval(x) if q_lo else mp.mpf(1)
-                out.append(w * k_next**2 * av / (q_here.poly_eval(x) * lo))
-        return tuple(out)
 
 
 def compute_varying_data(solution: MopSolution, zero_sets: dict) -> VaryingData:

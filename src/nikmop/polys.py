@@ -19,6 +19,16 @@ def poly_eval(coeffs: Sequence, z):
     return acc
 
 
+def poly_eval_and_slope(coeffs: Sequence, z):
+    """Value and derivative at ``z`` from one Horner pass."""
+    acc = mp.mpf(0)
+    slope = mp.mpf(0)
+    for c in reversed(coeffs):
+        slope = slope * z + acc
+        acc = acc * z + c
+    return acc, slope
+
+
 def poly_from_roots(roots: Sequence):
     """Ascending coefficients of the monic polynomial with the given roots."""
     coeffs = [mp.mpf(1)]

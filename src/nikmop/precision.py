@@ -14,7 +14,7 @@ DEFAULT_PRECISION_BITS = 256
 #: Pivot threshold exponent fraction for the moment-system elimination.
 PIVOT_EXPONENT_FRACTION = 0.8
 
-#: Relative width target exponent fraction for zero refinement.
+#: Relative step target exponent fraction for zero refinement.
 REFINE_EXPONENT_FRACTION = 0.25
 
 
@@ -25,16 +25,11 @@ def working(bits: int):
     return mp.workprec(bits)
 
 
-def decimal_digits(bits: int) -> int:
-    """Decimal digits carried by a ``bits``-bit mantissa (floor)."""
-    return int(bits * math.log10(2.0))
-
-
 def pivot_threshold(bits: int):
     """Relative pivot size below which the moment system counts as singular."""
     return mp.mpf(10) ** (-PIVOT_EXPONENT_FRACTION * bits * math.log10(2.0))
 
 
 def refine_tolerance(bits: int):
-    """Relative bracket width at which zero refinement stops."""
+    """Relative step size at which zero refinement stops."""
     return mp.mpf(10) ** (-REFINE_EXPONENT_FRACTION * bits)

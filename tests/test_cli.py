@@ -176,6 +176,40 @@ def test_main_unknown_key_rejected(tmp_path, capsys):
     assert "unknown keys: bogus" in capsys.readouterr().err
 
 
+def test_main_bad_index_exits_two(tmp_path, capsys):
+    # |n2| + 1 != |n1|: a config error, not a failed check.
+    data = config_dict(
+        kind="hermite_pade",
+        system1=[BASE_SPEC],
+        system2=[BASE_SPEC],
+        index={"n1": [3], "n2": [3]},
+    )
+    path = write_config(tmp_path, data)
+    assert main(["--config", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: index" in err
+    assert "Traceback" not in err
+
+
+def test_main_index_shape_exits_two(tmp_path, capsys):
+    data = config_dict(kind="hermite_pade", index={"n1": [2], "n2": [1]})
+    path = write_config(tmp_path, data)
+    assert main(["--config", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "one entry per generator" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("point", [[1], [1, 2, 3], "1+2j", [1, "x"], True])
+def test_main_malformed_point_exits_two(tmp_path, capsys, point):
+    data = config_dict(kind="ratio", points=[[0.5, 2.0], point])
+    path = write_config(tmp_path, data)
+    assert main(["--config", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "points[1] must be a number or a pair" in err
+    assert "Traceback" not in err
+
+
 def test_end_to_end_mop_run(tmp_path, capsys):
     path = write_config(tmp_path, config_dict())
     out_dir = tmp_path / "out"

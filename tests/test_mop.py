@@ -5,6 +5,7 @@ from mpmath import mp
 
 from nikmop.mop import (
     IndexPair,
+    MopSolution,
     NormalityViolation,
     assemble_moment_system,
     decreasing_indices,
@@ -13,7 +14,7 @@ from nikmop.mop import (
     solve_cached,
     solve_mop,
 )
-from nikmop.precision import working
+from nikmop.precision import refine_tolerance, working
 
 from conftest import BASE, BITS, UP1, make_pair, monic_chebyshev_u
 
@@ -169,6 +170,74 @@ def test_extract_identically_zero_level(pair11):
     sol = solve_cached(pair11, IndexPair((1, 0), (0, 0)))
     zs = extract_Q(sol, 1)
     assert zs.zeros == () and zs.expected == 0
+
+
+def bisection_zeros(sol, j, grid=200):
+    """Reference zeros of A_j: sign changes of ``form`` on a uniform grid
+    of the hull, topped up with points closing in on each atom by decades,
+    each bisected until the bracket is narrower than the refinement
+    tolerance."""
+    lo, hi = sol.pair.hull(j)
+    tol = refine_tolerance(sol.precision_bits)
+    with working(sol.precision_bits):
+        xs = {lo + (hi - lo) * mp.mpf(i) / grid for i in range(1, grid)}
+        for loc, _ in sol.pair.measure(j).atoms:
+            for k in range(1, 80):
+                xs |= {loc - mp.mpf(10) ** -k, loc + mp.mpf(10) ** -k}
+        xs = sorted(x for x in xs if lo < x < hi)
+        vals = [sol.form(j, x) for x in xs]
+        zeros = [x for x, v in zip(xs, vals) if v == 0]
+        for a, b, fa, fb in zip(xs, xs[1:], vals, vals[1:]):
+            if fa == 0 or fb == 0 or (fa > 0) == (fb > 0):
+                continue
+            while b - a > tol * max(1, abs(a), abs(b)):
+                c = (a + b) / 2
+                fc = sol.form(j, c)
+                if fc == 0:
+                    a = b = c
+                elif (fc > 0) == (fa > 0):
+                    a, fa = c, fc
+                else:
+                    b = c
+            zeros.append((a + b) / 2)
+    return sorted(zeros)
+
+
+@pytest.mark.parametrize("name, max_size", [("pair11", 5), ("atom_pair", 10)])
+def test_extract_matches_bisection_reference(request, name, max_size):
+    pair = request.getfixturevalue(name)
+    tol = refine_tolerance(BITS)
+    for index in decreasing_indices(pair.m1, pair.m2, max_size):
+        sol = solve_cached(pair, index)
+        for j in range(-index.m2, index.m1 + 1):
+            if index.zero_count(j) < 0:
+                continue  # the form vanishes identically on this level
+            got = extract_Q(sol, j).zeros
+            want = bisection_zeros(sol, j)
+            assert len(got) == len(want) == index.zero_count(j)
+            with working(BITS):
+                for z, ref in zip(got, want):
+                    d = tol * max(1, abs(z))
+                    assert abs(z - ref) <= d, (index, j)
+                    assert sol.form(j, z - d) * sol.form(j, z + d) <= 0
+
+
+def test_refinement_evaluations_per_zero(pair00_hi, monkeypatch):
+    # Newton converges quadratically from the secant point of the scan;
+    # a refinement that slid back to one-sided convergence would need
+    # dozens of evaluations per zero.
+    calls = []
+    counted = MopSolution.form_and_slope
+
+    def counting(self, j, z):
+        calls.append(z)
+        return counted(self, j, z)
+
+    monkeypatch.setattr(MopSolution, "form_and_slope", counting)
+    sol = solve_cached(pair00_hi, IndexPair((25,), (24,)))
+    zs = extract_Q(sol, 0)
+    assert len(zs.zeros) == 24
+    assert len(calls) <= 12 * len(zs.zeros)
 
 
 def test_zero_set_poly_eval_matches_coeffs(pair11):
