@@ -48,6 +48,7 @@ from .diagnostics import (
 from .equilibrium import (
     EquilibriumError,
     build_interaction_matrix,
+    cumulative_ratios,
     solve_equilibrium,
 )
 from .hermite_pade import (
@@ -66,6 +67,7 @@ from .measures import (
     NikishinSystem,
     WeightSpec,
     build_gauss_rule,
+    check_chain_hulls,
 )
 from .mop import (
     IndexPair,
@@ -107,6 +109,7 @@ DEFAULT_TOLERANCES = {
         "level0_identity": 1e-40,
         "triangular": 1e-40,
         "slope_slack": 0.01,
+        "rank_one": 1e-25,
     },
     "biortho": {"defect": 1e-12},
 }
@@ -121,6 +124,49 @@ _RAY_KEYS = {"start_size", "positions", "shift_position", "steps", "level"}
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_ranges(data: dict, m1: int, m2: int) -> None:
+    """Fields whose valid range follows from the chain lengths m1, m2."""
+    shift = data.get("shift")
+    if shift is not None and not (
+        isinstance(shift, (list, tuple))
+        and len(shift) == 2
+        and all(_is_int(v) for v in shift)
+        and 0 <= shift[0] <= m1
+        and 0 <= shift[1] <= m2
+    ):
+        raise ConfigError(
+            f"shift must be two integers in [0, {m1}] x [0, {m2}], got {shift!r}"
+        )
+    ray = data.get("ray", {})
+    level = ray.get("level") if isinstance(ray, dict) else None
+    if level is not None and not (_is_int(level) and -m2 <= level <= m1):
+        raise ConfigError(
+            f"ray.level must be an integer in [{-m2}, {m1}], got {level!r}"
+        )
+    ratios = data.get("ratios", {})
+    if ratios:
+        if set(ratios) != {"p1", "p2"}:
+            raise ConfigError("ratios needs both p1 and p2")
+        for key, want in (("p1", m1 + 1), ("p2", m2 + 1)):
+            vec = ratios[key]
+            if not (
+                isinstance(vec, (list, tuple))
+                and len(vec) == want
+                and all(_is_number(v) for v in vec)
+            ):
+                raise ConfigError(
+                    f"ratios.{key} must be {want} numbers, one per generator"
+                )
+        try:
+            cumulative_ratios(ratios["p1"], ratios["p2"])
+        except ValueError as exc:
+            raise ConfigError(f"ratios: {exc}") from exc
 
 
 def _config_point(i: int, value) -> complex:
@@ -200,7 +246,14 @@ class ExperimentConfig:
                     out.append(WeightSpec.from_dict(sd))
                 except MeasureError as exc:
                     raise ConfigError(f"{key}[{i}]: {exc}") from exc
+            try:
+                check_chain_hulls([spec.hull for spec in out])
+            except MeasureError as exc:
+                raise ConfigError(f"{key}: {exc}") from exc
             return tuple(out)
+
+        system1 = specs("system1")
+        system2 = specs("system2")
 
         index = None
         if data.get("index") is not None:
@@ -225,10 +278,11 @@ class ExperimentConfig:
         extra = set(ratios) - {"p1", "p2"}
         if extra:
             raise ConfigError(f"unknown keys: ratios.{sorted(extra)[0]}")
+        _check_ranges(data, len(system1) - 1, len(system2) - 1)
         return ExperimentConfig(
             kind=data["kind"],
-            system1=specs("system1"),
-            system2=specs("system2"),
+            system1=system1,
+            system2=system2,
             precision_bits=data.get("precision_bits", 256),
             quadrature_nodes=data.get("quadrature_nodes", 128),
             max_size=data.get("max_size", 6),
@@ -635,6 +689,7 @@ def run_hermite_pade(config: ExperimentConfig, pair: NikishinPair, threads: int)
             r0 = remainder_integral(sol, 0, zv)
             a_neg = sol.form(-1, zv)
             worst_ident = max(worst_ident, float(abs(r0 - a_neg) / abs(a_neg)))
+    rank_tol = config.tolerance("rank_one")
     defect = MatrixMarkov(pair).rank_one_defect()
     return {
         "checks": [
@@ -647,7 +702,8 @@ def run_hermite_pade(config: ExperimentConfig, pair: NikishinPair, threads: int)
             _check("triangular_relations", worst_tri <= tri_tol,
                    value=worst_tri, threshold=tri_tol),
             _check("far_field_slopes", slopes_ok, slack=slope_slack),
-            _check("rank_one", defect <= 1e-25, value=defect),
+            _check("rank_one", defect <= rank_tol,
+                   value=defect, threshold=rank_tol),
         ],
         "csv": {
             "remainder_routes": (("row", "point", "rel_difference"), rows)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from mpmath import mp
 
-from .measures import nested_cauchy_transform
+from .measures import CauchyKernel, nested_cauchy_transform
 from .mop import IndexPair, MopSolution, NikishinPair, solve_cached
 from .polys import poly_eval
 from .precision import working
@@ -36,16 +36,13 @@ class MatrixMarkov:
 
     def entry(self, row: int, col: int, z):
         base = self.pair.base
-        with working(self.pair.precision_bits):
-            zv = mp.mpmathify(z)
-            return mp.fsum(
-                w * v / (zv - x)
-                for w, v, x in zip(
-                    base.signed_weights,
-                    self.w_values(row, col),
-                    base.support_points,
-                )
+        bits = self.pair.precision_bits
+        with working(bits):
+            weights = tuple(
+                w * v
+                for w, v in zip(base.signed_weights, self.w_values(row, col))
             )
+            return CauchyKernel(weights, base.support_points, bits).value(z)
 
     def entries(self, z) -> tuple:
         return tuple(
@@ -144,12 +141,10 @@ def remainder_integral(solution: MopSolution, j: int, z):
     base = pair.base
     weights = pair.s2.s_weights(0, j)
     a0 = solution.form_on_support(0)
-    with working(solution.precision_bits):
-        zv = mp.mpmathify(z)
-        return mp.fsum(
-            w * v / (zv - x)
-            for w, v, x in zip(weights, a0, base.support_points)
-        )
+    bits = solution.precision_bits
+    with working(bits):
+        products = tuple(w * v for w, v in zip(weights, a0))
+        return CauchyKernel(products, base.support_points, bits).value(z)
 
 
 def remainder_moments(solution: MopSolution, j: int) -> tuple:

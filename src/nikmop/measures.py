@@ -37,6 +37,10 @@ class QuadratureError(ArithmeticError):
     """Gauss rule construction failed to converge."""
 
 
+def _hull(lo, hi, locations):
+    return (min([lo, *locations]), max([hi, *locations]))
+
+
 def _as_mpf(value):
     # decimal literals in specs mean their decimal value at working precision
     if isinstance(value, (int, mp.mpf)):
@@ -82,6 +86,13 @@ class WeightSpec:
         object.__setattr__(
             self, "mass_points", tuple(tuple(p) for p in self.mass_points)
         )
+
+    @property
+    def hull(self):
+        """Smallest closed interval holding the interval and the mass
+        points, in floats: the hull every discretization of the spec has."""
+        a, b = self.interval
+        return _hull(float(a), float(b), [float(loc) for loc, _ in self.mass_points])
 
     def to_dict(self) -> dict:
         return {
@@ -205,6 +216,188 @@ def _reference_rule(family: str, n: int, alpha, beta, bits: int):
     return _gauss_jacobi(n, alpha, beta, bits)
 
 
+#: Bits kept beyond the requested precision in every Cauchy sum.
+CAUCHY_GUARD_BITS = 40
+
+
+def _fixed(values, guard: int):
+    """Ints n_i and one exponent e with n_i * 2**e == values[i] exactly:
+    each mantissa shifted to the finest exponent among the nonzero values,
+    less ``guard`` further bits."""
+    parts = []
+    for v in values:
+        sign, man, exp, _ = (v if isinstance(v, mp.mpf) else mp.mpf(v))._mpf_
+        if not man and exp:
+            raise ValueError(f"Cauchy sums need finite values, got {v}")
+        parts.append((-man if sign else man, exp))
+    exps = [exp for man, exp in parts if man]
+    base = (min(exps) if exps else 0) - guard
+    return [man << (exp - base) for man, exp in parts], base
+
+
+class CauchyKernel:
+    """The discrete Cauchy sum  S(z) = sum_i w_i / (z - x_i)  and its slope
+    S'(z) = -sum_i w_i / (z - x_i)^2, in Python-int fixed point.
+
+    Weights and points are stored exactly as ints, each at one common
+    exponent; the points carry ``CAUCHY_GUARD_BITS`` extra zero bits so
+    that most z convert exactly.  Every distance z - x_i carries a relative
+    error of at most 2^-(bits+guard) (see ``_setup``).  Each term is one
+    floor division at an output scale chosen from Sum |w| and the nearest
+    and farthest distance, so the truncation of all terms together stays
+    within 2^-(bits+guard) Sum |w/(z-x)|; the slope divides each term once
+    more by the same distance and is bounded the same way against
+    Sum |w/(z-x)^2|.  The exact int sums are converted to mpf once, at the
+    ambient precision p, so
+
+        |value - S(z)| <= 2^-p |S(z)| + 2^-(bits+guard-2) Sum |w/(z-x)|,
+
+    and the same for the slope, within the 2^-bits Sum |w/(z-x)| that a
+    sum of terms rounded to ``bits`` meets.  A complex z runs the same
+    loop with conj(d)/|d|^2.  A z on a point raises ZeroDivisionError.
+    """
+
+    __slots__ = ("bits", "_w", "_w_exp", "_w_bits", "_x", "_x_exp",
+                 "_lo", "_hi", "_n_bits")
+
+    def __init__(self, weights: Sequence, points: Sequence, bits: int):
+        if len(weights) != len(points):
+            raise ValueError("a Cauchy kernel needs one weight per point")
+        self.bits = bits
+        self._w, self._w_exp = _fixed(weights, 0)
+        self._x, self._x_exp = _fixed(points, CAUCHY_GUARD_BITS)
+        # Sum |w| >= 2^_w_bits in units of 2^_w_exp.
+        self._w_bits = sum(abs(w) for w in self._w).bit_length() - 1
+        self._lo = min(self._x)
+        self._hi = max(self._x)
+        self._n_bits = len(self._x).bit_length()
+
+    def _setup(self, z):
+        """z and the points as ints on one grid, with the numerator shift
+        s and the slope shift k.
+
+        The grid starts as the points' own.  A z finer than that is
+        rounded onto it, and the grid is refined until z lies at least
+        2^(bits+guard+1) grid units from every point, or z converts
+        exactly.  Then, in grid units, 2^near <= min |z - x| and
+        max |z - x| < 2^far, and Sum |w| >= 2^_w_bits in weight units, so
+        Sum |w/(z-x)| >= 2^(_w_bits - far) and Sum |w/(z-x)^2| >=
+        2^(_w_bits - 2 far).  A term floor(w 2^s / d) is off by less than one
+        unit (two for complex z), and a slope term floor(t 2^k / d) with
+        k = near by less than two (four), so 2^s >= n 2^(bits+guard+2 +
+        2 far - near - _w_bits) keeps both sums within 2^-(bits+guard) of
+        their sums of magnitudes.
+        """
+        if not isinstance(z, (mp.mpf, mp.mpc)):
+            z = mp.mpmathify(z)
+        parts = (z._mpf_,) if isinstance(z, mp.mpf) else z._mpc_
+        mans = []
+        exps = []
+        for sign, man, exp, _ in parts:
+            if not man and exp:
+                raise ValueError(f"Cauchy sums need a finite z, got {z}")
+            mans.append(-man if sign else man)
+            exps.append(exp)
+        exp = min(e for m, e in zip(mans, exps) if m) if any(mans) else 0
+        mans = [m << (e - exp) if m else 0 for m, e in zip(mans, exps)]
+        complex_z = len(mans) == 2
+        grid = self._x_exp
+        xs, lo, hi = self._x, self._lo, self._hi
+        target = self.bits + CAUCHY_GUARD_BITS
+        while True:
+            if exp >= grid:
+                zs = [m << (exp - grid) for m in mans]
+                rounded = False
+            else:
+                shift = grid - exp
+                zs = [(m + (1 << (shift - 1))) >> shift for m in mans]
+                rounded = True
+            zr = zs[0]
+            im2 = zs[1] * zs[1] if complex_z else 0
+            far = max(abs(zr - lo), abs(zr - hi))
+            if zr > hi:
+                near = zr - hi
+            elif zr < lo:
+                near = lo - zr
+            else:
+                near = min(abs(zr - x) for x in xs)
+            if complex_z:
+                near_bits = ((near * near + im2).bit_length() - 1) // 2
+                far_bits = ((far * far + im2).bit_length() + 1) // 2
+            else:
+                near_bits = near.bit_length() - 1
+                far_bits = far.bit_length()
+            if rounded and near_bits <= target:
+                # Too close for this grid: refine it to what the distance
+                # needs, or all the way to z's own when it rounded onto
+                # a point.
+                finer = grid - (target + 2 - near_bits) if near_bits > 0 else exp
+                shift = self._x_exp - max(finer, exp)
+                grid = self._x_exp - shift
+                xs = [x << shift for x in self._x]
+                lo, hi = self._lo << shift, self._hi << shift
+                continue
+            if near_bits < 0:
+                raise ZeroDivisionError("z lies on a point of the Cauchy sum")
+            guard = target + self._n_bits + 2
+            s = max(0, 2 * far_bits - near_bits - self._w_bits + guard)
+            return xs, zs, grid, s, near_bits
+
+    def value(self, z):
+        """S(z) at the ambient precision: an mpf for real z, an mpc for
+        complex z."""
+        xs, zs, grid, s, _ = self._setup(z)
+        out = self._w_exp - grid - s
+        ws = self._w
+        if len(zs) == 1:
+            zr = zs[0]
+            acc = sum((w << s) // (zr - x) for w, x in zip(ws, xs))
+            return mp.mpf((acc, out))
+        zr, zi = zs
+        im2 = zi * zi
+        acc_r = acc_i = 0
+        for w, x in zip(ws, xs):
+            dr = zr - x
+            norm = dr * dr + im2
+            w = w << s
+            acc_r += w * dr // norm
+            acc_i += w * -zi // norm
+        return mp.mpc(mp.mpf((acc_r, out)), mp.mpf((acc_i, out)))
+
+    def value_and_slope(self, z):
+        """S(z) and S'(z) from one pass over the points; S(z) is the same
+        number ``value`` returns."""
+        xs, zs, grid, s, k = self._setup(z)
+        out = self._w_exp - grid - s
+        out_slope = out - grid - k
+        ws = self._w
+        if len(zs) == 1:
+            zr = zs[0]
+            acc = acc_s = 0
+            for w, x in zip(ws, xs):
+                d = zr - x
+                t = (w << s) // d
+                acc += t
+                acc_s += (t << k) // d
+            return mp.mpf((acc, out)), -mp.mpf((acc_s, out_slope))
+        zr, zi = zs
+        im2 = zi * zi
+        acc_r = acc_i = slope_r = slope_i = 0
+        for w, x in zip(ws, xs):
+            dr = zr - x
+            norm = dr * dr + im2
+            w = w << s
+            tr = w * dr // norm
+            ti = w * -zi // norm
+            acc_r += tr
+            acc_i += ti
+            slope_r += ((tr * dr + ti * zi) << k) // norm
+            slope_i += ((ti * dr - tr * zi) << k) // norm
+        value = mp.mpc(mp.mpf((acc_r, out)), mp.mpf((acc_i, out)))
+        slope = mp.mpc(mp.mpf((slope_r, out_slope)), mp.mpf((slope_i, out_slope)))
+        return value, -slope
+
+
 @dataclass(frozen=True, eq=False)
 class DiscretizedMeasure:
     """A signed measure realized as a finite sum of point masses.
@@ -233,10 +426,7 @@ class DiscretizedMeasure:
     def hull(self):
         """Smallest closed interval containing the support."""
         a, b = self.interval
-        locs = [loc for loc, _ in self.atoms]
-        lo = min([a] + locs)
-        hi = max([b] + locs)
-        return (lo, hi)
+        return _hull(a, b, [loc for loc, _ in self.atoms])
 
     @functools.cached_property
     def support_points(self) -> tuple:
@@ -267,13 +457,16 @@ class DiscretizedMeasure:
     def total_mass(self):
         return self.moment(0)
 
+    @functools.cached_property
+    def kernel(self) -> CauchyKernel:
+        return CauchyKernel(
+            self.signed_weights, self.support_points, self.precision_bits
+        )
+
     def cauchy(self, z):
         """Cauchy transform: integral of 1/(z - x) against the measure."""
         with working(self.precision_bits):
-            return mp.fsum(
-                w / (z - x)
-                for w, x in zip(self.signed_weights, self.support_points)
-            )
+            return self.kernel.value(z)
 
 
 def build_gauss_rule(
@@ -306,20 +499,6 @@ def build_gauss_rule(
     )
 
 
-def cauchy_sum_and_slope(weights: Sequence, points: Sequence, z):
-    """sum w / (z - x) and its derivative -sum w / (z - x)^2 in z, at the
-    ambient precision.  The value terms are the ones ``mp.fsum`` sums in
-    every Cauchy transform here, so the value matches them bit for bit."""
-    terms = []
-    slopes = []
-    for w, x in zip(weights, points):
-        d = z - x
-        t = w / d
-        terms.append(t)
-        slopes.append(t / d)
-    return mp.fsum(terms), -mp.fsum(slopes)
-
-
 def cauchy_transform(measure: DiscretizedMeasure, z):
     """Cauchy transform of a discretized measure at ``z``."""
     return measure.cauchy(z)
@@ -335,16 +514,12 @@ def _chain_density(measures: tuple):
     tail_density = _chain_density(measures[1:])
     nxt = measures[1]
     with working(head.precision_bits):
-        pts = nxt.support_points
-        wts = nxt.signed_weights
-        out = []
-        for x in head.support_points:
-            out.append(
-                mp.fsum(
-                    w * d / (x - t) for w, d, t in zip(wts, tail_density, pts)
-                )
-            )
-    return tuple(out)
+        kernel = CauchyKernel(
+            tuple(w * d for w, d in zip(nxt.signed_weights, tail_density)),
+            nxt.support_points,
+            head.precision_bits,
+        )
+        return tuple(kernel.value(x) for x in head.support_points)
 
 
 def nested_cauchy_transform(measures: Sequence[DiscretizedMeasure], z):
@@ -357,16 +532,23 @@ def nested_cauchy_transform(measures: Sequence[DiscretizedMeasure], z):
     head = chain[0]
     density = _chain_density(chain)
     with working(head.precision_bits):
-        return mp.fsum(
-            w * d / (z - x)
-            for w, d, x in zip(head.signed_weights, density, head.support_points)
+        kernel = CauchyKernel(
+            tuple(w * d for w, d in zip(head.signed_weights, density)),
+            head.support_points,
+            head.precision_bits,
         )
+        return kernel.value(z)
 
 
-def _hulls_disjoint(m1: DiscretizedMeasure, m2: DiscretizedMeasure) -> bool:
-    a1, b1 = m1.hull
-    a2, b2 = m2.hull
-    return b1 < a2 or b2 < a1
+def check_chain_hulls(hulls: Sequence) -> None:
+    """Raise MeasureError unless consecutive hulls (lo, hi) are disjoint.
+    Applies alike to discretized generators and to the specs they come
+    from, whose hulls compare the same way."""
+    for j, ((a1, b1), (a2, b2)) in enumerate(zip(hulls, hulls[1:])):
+        if not (b1 < a2 or b2 < a1):
+            raise MeasureError(
+                f"supports of consecutive generators {j} and {j + 1} overlap"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -387,11 +569,7 @@ class NikishinSystem:
         if not self.generators:
             raise MeasureError("a system needs at least one generating measure")
         object.__setattr__(self, "generators", tuple(self.generators))
-        for j in range(len(self.generators) - 1):
-            if not _hulls_disjoint(self.generators[j], self.generators[j + 1]):
-                raise MeasureError(
-                    f"supports of consecutive generators {j} and {j + 1} overlap"
-                )
+        check_chain_hulls([g.hull for g in self.generators])
 
     @property
     def m(self) -> int:
@@ -422,22 +600,28 @@ class NikishinSystem:
                 )
         return self._density_cache[key]
 
+    def kernel(self, j: int, k: int) -> CauchyKernel:
+        """Cauchy sum over the point masses of <s_j, ..., s_k>."""
+        key = ("kernel", j, k)
+        if key not in self._density_cache:
+            gen = self.generators[j]
+            self._density_cache[key] = CauchyKernel(
+                self.s_weights(j, k), gen.support_points, gen.precision_bits
+            )
+        return self._density_cache[key]
+
     def s_hat(self, j: int, k: int, z):
         """Cauchy transform of <s_j, ..., s_k> at z (z off s_j's support)."""
-        gen = self.generators[j]
-        weights = self.s_weights(j, k)
-        with working(gen.precision_bits):
-            return mp.fsum(
-                w / (z - x) for w, x in zip(weights, gen.support_points)
-            )
+        kernel = self.kernel(j, k)
+        with working(kernel.bits):
+            return kernel.value(z)
 
     def s_hat_and_slope(self, j: int, k: int, z):
         """``s_hat(j, k, z)`` and its derivative -sum w / (z - x)^2 in z,
         from one pass over the point masses."""
-        gen = self.generators[j]
-        weights = self.s_weights(j, k)
-        with working(gen.precision_bits):
-            return cauchy_sum_and_slope(weights, gen.support_points, z)
+        kernel = self.kernel(j, k)
+        with working(kernel.bits):
+            return kernel.value_and_slope(z)
 
 
 def check_cauchy_identity(system: NikishinSystem, i: int, j: int, z) -> dict:

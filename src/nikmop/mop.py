@@ -21,10 +21,10 @@ from dataclasses import dataclass, field
 from mpmath import mp
 
 from .measures import (
+    CauchyKernel,
     DiscretizedMeasure,
     MeasureError,
     NikishinSystem,
-    cauchy_sum_and_slope,
 )
 from .polys import (
     poly_eval,
@@ -343,11 +343,7 @@ class MopSolution:
                     if self.index.n1[k]:
                         acc += self.a(k, z) * self.pair.s1.s_hat(j + 1, k, z)
                 return acc
-            src = self.pair.s2.generators[-j - 1]
-            return mp.fsum(
-                p / (z - x)
-                for p, x in zip(self._chain_products(-j - 1), src.support_points)
-            )
+            return self._chain_kernel(-j - 1).value(z)
 
     def form_and_slope(self, j: int, z):
         """``form(j, z)`` and its derivative in z, in one pass.
@@ -362,10 +358,7 @@ class MopSolution:
             raise IndexError(f"form index {j} out of range")
         with working(self.precision_bits):
             if j < 0:
-                src = self.pair.s2.generators[-j - 1]
-                return cauchy_sum_and_slope(
-                    self._chain_products(-j - 1), src.support_points, z
-                )
+                return self._chain_kernel(-j - 1).value_and_slope(z)
             val, slope = poly_eval_and_slope(self.coeffs[j], z)
             for k in range(j + 1, m1 + 1):
                 if self.index.n1[k]:
@@ -375,16 +368,18 @@ class MopSolution:
                     slope += dp * s + p * ds
             return val, slope
 
-    def _chain_products(self, t: int) -> tuple:
-        """Point masses w v of the second system's generator t times the
-        values v of A_{-t} on its support."""
-        key = ("products", t)
+    def _chain_kernel(self, t: int) -> CauchyKernel:
+        """Cauchy sum over the point masses w v of the second system's
+        generator t times the values v of A_{-t} on its support."""
+        key = ("kernel", t)
         if key not in self._cache:
             src = self.pair.s2.generators[t]
             chain = self._neg_chain(t)
             with working(self.precision_bits):
-                self._cache[key] = tuple(
-                    w * v for w, v in zip(src.signed_weights, chain)
+                self._cache[key] = CauchyKernel(
+                    tuple(w * v for w, v in zip(src.signed_weights, chain)),
+                    src.support_points,
+                    self.precision_bits,
                 )
         return self._cache[key]
 
@@ -405,16 +400,9 @@ class MopSolution:
                             acc += self.a(k, x) * self.pair.base_density1(k)[p]
                     vals.append(acc)
             else:
-                products = self._chain_products(t - 1)
-                src = self.pair.s2.generators[t - 1]
+                kernel = self._chain_kernel(t - 1)
                 dst = self.pair.s2.generators[t]
-                vals = [
-                    mp.fsum(
-                        p / (y - x)
-                        for p, x in zip(products, src.support_points)
-                    )
-                    for y in dst.support_points
-                ]
+                vals = [kernel.value(y) for y in dst.support_points]
         self._cache[key] = tuple(vals)
         return self._cache[key]
 
@@ -436,9 +424,7 @@ class MopSolution:
         return self._cache[key]
 
 
-def solve_mop(
-    pair: NikishinPair, index: IndexPair, precision_bits: int | None = None
-) -> MopSolution:
+def solve_mop(pair: NikishinPair, index: IndexPair) -> MopSolution:
     """Solve the orthogonality conditions for ``index`` and normalize so the
     last nonzero block is monic.
 
@@ -449,7 +435,7 @@ def solve_mop(
     by the last nonzero coefficient.  A leading coefficient of any nonzero
     block that vanishes at the working scale raises NormalityViolation.
     """
-    bits = precision_bits or pair.precision_bits
+    bits = pair.precision_bits
     if not any(index.n1):
         raise ValueError("index has no unknowns")
     mat = assemble_moment_system(pair, index)

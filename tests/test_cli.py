@@ -47,7 +47,7 @@ def test_from_dict_round_trip():
             ray={"steps": 3, "level": 0},
             shift=[1, 0],
             points=[[4, 1], [-6, 0]],
-            ratios={"p1": [0.5, 0.5], "p2": [1.0]},
+            ratios={"p1": [0.5, 0.5], "p2": [0.5, 0.5]},
             panels=64,
             n_max=3,
             seed=5,
@@ -123,6 +123,15 @@ def test_tolerance_defaults_and_overrides():
     )
     assert cfg2.tolerance("telescoping") == 1e-30
     assert cfg2.tolerance("boundary_cov") == 0.02
+
+
+def test_rank_one_bound_is_an_overridable_tolerance():
+    cfg = ExperimentConfig.from_dict(config_dict(kind="hermite_pade"))
+    assert cfg.tolerance("rank_one") == 1e-25
+    cfg2 = ExperimentConfig.from_dict(
+        config_dict(kind="hermite_pade", tolerances={"rank_one": 1e-30})
+    )
+    assert cfg2.tolerance("rank_one") == 1e-30
 
 
 def test_check_names_cover_every_kind():
@@ -207,6 +216,54 @@ def test_main_malformed_point_exits_two(tmp_path, capsys, point):
     assert main(["--config", path, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "points[1] must be a number or a pair" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "over, message",
+    [
+        ({"kind": "diagnostics", "shift": [5, 0]}, "shift must be two integers"),
+        ({"kind": "diagnostics", "shift": [0, 1, 0]}, "shift must be two integers"),
+        ({"kind": "ratio", "ray": {"level": 7}}, "ray.level must be an integer"),
+        ({"kind": "ratio", "ray": {"level": -2}}, "ray.level must be an integer"),
+        (
+            {"kind": "equilibrium", "ratios": {"p1": [1.0], "p2": [1.0]}},
+            "ratios.p1 must be 2 numbers",
+        ),
+        (
+            {"kind": "equilibrium", "ratios": {"p1": [0.2, 0.9], "p2": [0.5, 0.5]}},
+            "ratios must be non-increasing",
+        ),
+        (
+            {"kind": "equilibrium", "ratios": {"p1": [0.5, 0.5]}},
+            "ratios needs both p1 and p2",
+        ),
+    ],
+)
+def test_main_out_of_range_field_exits_two(tmp_path, capsys, over, message):
+    path = write_config(tmp_path, config_dict(**over))
+    assert main(["--config", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "upper",
+    [
+        {"family": "legendre", "interval": [0.5, 3]},
+        {"family": "legendre", "interval": [2, 3], "mass_points": [[0.9, 1.0]]},
+        {"family": "legendre", "interval": [1, 3]},
+    ],
+)
+def test_main_overlapping_supports_exit_two(tmp_path, capsys, upper):
+    # Hulls are the interval together with the mass points, and touching
+    # hulls count as overlapping, as in NikishinSystem.
+    path = write_config(tmp_path, config_dict(system1=[BASE_SPEC, upper]))
+    assert main(["--config", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: system1: supports of consecutive generators 0 and 1 overlap" in err
     assert "Traceback" not in err
 
 

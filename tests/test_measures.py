@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from nikmop.measures import (
+    CauchyKernel,
     MeasureError,
     NikishinSystem,
     WeightSpec,
@@ -21,7 +22,7 @@ from nikmop.polys import (
 )
 from nikmop.precision import refine_tolerance, working
 
-from conftest import BASE, BITS, DOWN1, NODES, UP1, make_pair
+from conftest import ATOM_BASE, BASE, BITS, DOWN1, NODES, UP1, UP2, make_pair
 
 FLOOR = mp.mpf(10) ** -60
 
@@ -196,6 +197,115 @@ def test_cauchy_reversal_identity(pair21, ij):
     i, j = ij
     report = check_cauchy_identity(pair21.s1, i, j, mp.mpc("0.3", "1.1"))
     assert report["rel_err"] < FLOOR
+
+
+# ----- fixed-point Cauchy kernel -----------------------------------------
+
+KERNEL_SPECS = {
+    "chebyshev1": UP1,
+    "chebyshev2": BASE,
+    "legendre": DOWN1,
+    "jacobi": UP2,
+    "atom_base": ATOM_BASE,
+}
+
+
+def fsum_sums(weights, points, z, bits):
+    """Value, slope and both sums of magnitudes, as mp.fsum of the same
+    terms at 4x the precision."""
+    with working(4 * bits):
+        terms = [w / (z - x) for w, x in zip(weights, points)]
+        slopes = [t / (z - x) for t, x in zip(terms, points)]
+        return (
+            mp.fsum(terms),
+            -mp.fsum(slopes),
+            mp.fsum(abs(t) for t in terms),
+            mp.fsum(abs(t) for t in slopes),
+        )
+
+
+def kernel_points(lo, hi, bits):
+    """Far, moderate, 1e-30 from either end of the hull, and complex.
+    Built at more bits than the kernel's, they are rounded onto its grid
+    (or force a finer one) instead of converting exactly."""
+    with working(bits):
+        tiny = mp.mpf(10) ** -30
+        mid, rad = (lo + hi) / 2, (hi - lo) / 2
+        return (
+            mp.mpf(10) ** 30,
+            -mp.mpf(10) ** 30 / 3,
+            hi + rad / 3,
+            hi + tiny,
+            lo - tiny,
+            mp.mpc(mid + rad / 7, rad / 2),
+            mp.mpc(lo + rad / 5, tiny),
+            mp.mpc(-mp.mpf(10) ** 30, mp.mpf(10) ** 29),
+        )
+
+
+def assert_kernel_bound(weights, points, bits, zs):
+    kernel = CauchyKernel(weights, points, bits)
+    bound = mp.mpf(2) ** -bits
+    for z in zs:
+        with working(bits):
+            value, slope = kernel.value_and_slope(z)
+            assert kernel.value(z) == value
+        want, want_slope, mass, slope_mass = fsum_sums(weights, points, z, bits)
+        with working(4 * bits):
+            assert abs(value - want) <= bound * mass, z
+            assert abs(slope - want_slope) <= bound * slope_mass, z
+        assert isinstance(value, mp.mpc) == isinstance(z, mp.mpc)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
+@pytest.mark.parametrize("bits, nodes", [(BITS, NODES), (512, 32)])
+def test_kernel_within_bound_of_fsum(name, bits, nodes):
+    meas = build_gauss_rule(KERNEL_SPECS[name], nodes, bits)
+    lo, hi = meas.hull
+    assert_kernel_bound(
+        meas.signed_weights, meas.support_points, bits,
+        kernel_points(lo, hi, bits) + kernel_points(lo, hi, 4 * bits),
+    )
+
+
+def test_kernel_alternating_chain_products(pair21):
+    # Chain products w * hat<s_1, s_2> on the base with signs forced to
+    # alternate: the sum cancels heavily, the bound is on sum |t|.
+    base = pair21.base
+    with working(BITS):
+        weights = tuple(
+            (-1) ** i * w for i, w in enumerate(pair21.s1.s_weights(0, 2))
+        )
+    assert len({w > 0 for w in weights}) == 2
+    assert_kernel_bound(
+        weights, base.support_points, BITS, kernel_points(*base.hull, BITS)
+    )
+
+
+def test_kernel_plain_numbers_and_vanishing_weights():
+    meas = build_gauss_rule(UP1, 8, BITS)
+    kernel = CauchyKernel(meas.signed_weights, meas.support_points, BITS)
+    with working(BITS):
+        assert kernel.value(0) == kernel.value(mp.mpf(0))
+        assert kernel.value(1j) == kernel.value(mp.mpc(0, 1))
+        zero = CauchyKernel((mp.mpf(0),) * 8, meas.support_points, BITS)
+        assert zero.value(mp.mpf(0)) == 0
+        assert zero.value_and_slope(mp.mpc(0, 1)) == (0, 0)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
+def test_kernel_raises_on_a_node(name):
+    meas = build_gauss_rule(KERNEL_SPECS[name], 16, BITS)
+    kernel = CauchyKernel(meas.signed_weights, meas.support_points, BITS)
+    with working(BITS):
+        for x in (meas.support_points[0], meas.support_points[-1]):
+            for z in (x, mp.mpc(x, 0)):
+                with pytest.raises(ZeroDivisionError):
+                    kernel.value(z)
+                with pytest.raises(ZeroDivisionError):
+                    kernel.value_and_slope(z)
+                with pytest.raises(ZeroDivisionError):
+                    meas.cauchy(z)
 
 
 def test_poly_helpers_round_trip():

@@ -172,11 +172,12 @@ def test_extract_identically_zero_level(pair11):
     assert zs.zeros == () and zs.expected == 0
 
 
-def bisection_zeros(sol, j, grid=200):
-    """Reference zeros of A_j: sign changes of ``form`` on a uniform grid
-    of the hull, topped up with points closing in on each atom by decades,
-    each bisected until the bracket is narrower than the refinement
-    tolerance."""
+def bisection_zeros(sol, j, grid=200, form=None):
+    """Reference zeros of A_j: sign changes of ``form`` (by default
+    ``sol.form``) on a uniform grid of the hull, topped up with points
+    closing in on each atom by decades, each bisected until the bracket is
+    narrower than the refinement tolerance."""
+    form = form or sol.form
     lo, hi = sol.pair.hull(j)
     tol = refine_tolerance(sol.precision_bits)
     with working(sol.precision_bits):
@@ -185,14 +186,14 @@ def bisection_zeros(sol, j, grid=200):
             for k in range(1, 80):
                 xs |= {loc - mp.mpf(10) ** -k, loc + mp.mpf(10) ** -k}
         xs = sorted(x for x in xs if lo < x < hi)
-        vals = [sol.form(j, x) for x in xs]
+        vals = [form(j, x) for x in xs]
         zeros = [x for x, v in zip(xs, vals) if v == 0]
         for a, b, fa, fb in zip(xs, xs[1:], vals, vals[1:]):
             if fa == 0 or fb == 0 or (fa > 0) == (fb > 0):
                 continue
             while b - a > tol * max(1, abs(a), abs(b)):
                 c = (a + b) / 2
-                fc = sol.form(j, c)
+                fc = form(j, c)
                 if fc == 0:
                     a = b = c
                 elif (fc > 0) == (fa > 0):
@@ -220,6 +221,96 @@ def test_extract_matches_bisection_reference(request, name, max_size):
                     d = tol * max(1, abs(z))
                     assert abs(z - ref) <= d, (index, j)
                     assert sol.form(j, z - d) * sol.form(j, z + d) <= 0
+
+
+def fsum_cauchy(weights, points, z):
+    return mp.fsum(w / (z - x) for w, x in zip(weights, points))
+
+
+def fsum_hat(gens, z):
+    """Transform of the chained measure <g_0, ..., g_k> at z, every
+    density and every sum a plain mp.fsum of rounded terms."""
+    head = gens[0]
+    weights = head.signed_weights
+    if len(gens) > 1:
+        weights = [
+            w * fsum_hat(gens[1:], x)
+            for w, x in zip(weights, head.support_points)
+        ]
+    return fsum_cauchy(weights, head.support_points, z)
+
+
+def fsum_form(sol):
+    """``sol.form`` rebuilt on mp.fsum Cauchy sums, the reference for the
+    fixed-point kernel.  Values of A_{-t} on the second system's supports
+    are computed once per solution."""
+    pair, index = sol.pair, sol.index
+    s1, s2 = pair.s1.generators, pair.s2.generators
+    chains = []
+
+    def a0(x):
+        acc = mp.mpf(0)
+        for k in range(index.m1 + 1):
+            if index.n1[k]:
+                acc += sol.a(k, x) * (fsum_hat(s1[1 : k + 1], x) if k else 1)
+        return acc
+
+    def form(j, z):
+        with working(sol.precision_bits):
+            if j >= 0:
+                acc = sol.a(j, z) if index.n1[j] else mp.mpf(0)
+                for k in range(j + 1, index.m1 + 1):
+                    if index.n1[k]:
+                        acc += sol.a(k, z) * fsum_hat(s1[j + 1 : k + 1], z)
+                return acc
+            if not chains:
+                chains.append([a0(x) for x in pair.base.support_points])
+            while len(chains) <= -j - 1:
+                t = len(chains)
+                weights = [
+                    w * v for w, v in zip(s2[t - 1].signed_weights, chains[-1])
+                ]
+                chains.append([
+                    fsum_cauchy(weights, s2[t - 1].support_points, y)
+                    for y in s2[t].support_points
+                ])
+            src = s2[-j - 1]
+            weights = [w * v for w, v in zip(src.signed_weights, chains[-j - 1])]
+            return fsum_cauchy(weights, src.support_points, z)
+
+    return form
+
+
+@pytest.mark.parametrize("name, max_size", [("pair11", 5), ("atom_pair", 10)])
+def test_extract_matches_fsum_reference(request, name, max_size):
+    # The zeros found through the fixed-point Cauchy kernel against zeros
+    # bisected on forms whose Cauchy sums are plain mp.fsum sums.
+    pair = request.getfixturevalue(name)
+    tol = refine_tolerance(BITS)
+    for index in decreasing_indices(pair.m1, pair.m2, max_size):
+        sol = solve_cached(pair, index)
+        reference = fsum_form(sol)
+        for j in range(-index.m2, index.m1 + 1):
+            if index.zero_count(j) < 0:
+                continue
+            got = extract_Q(sol, j).zeros
+            want = bisection_zeros(sol, j, form=reference)
+            assert len(got) == len(want) == index.zero_count(j)
+            with working(BITS):
+                for z, ref in zip(got, want):
+                    assert abs(z - ref) <= tol * max(1, abs(z)), (index, j)
+
+
+def test_fsum_reference_form_matches_kernel_form(pair21):
+    # The reference itself is a faithful A_j: it agrees with the kernel
+    # form at off-support points of every level.
+    sol = solve_cached(pair21, IndexPair((2, 2, 1), (3, 1)))
+    reference = fsum_form(sol)
+    with working(BITS):
+        for j in range(-2, 3):
+            for z in (mp.mpf("0.3"), mp.mpf("2.4"), mp.mpf("-2.6"), mp.mpc("0.1", "1.5")):
+                got, want = sol.form(j, z), reference(j, z)
+                assert abs(got - want) <= FLOOR * max(1, abs(want)), (j, z)
 
 
 def test_refinement_evaluations_per_zero(pair00_hi, monkeypatch):
