@@ -109,10 +109,12 @@ DEFAULT_TOLERANCES = {
         "level0_identity": 1e-40,
         "triangular": 1e-40,
         "slope_slack": 0.01,
-        "rank_one": 1e-25,
     },
     "biortho": {"defect": 1e-12},
 }
+
+#: Bound on the rank-one defect of the Markov matrix (hermite_pade kind).
+RANK_ONE_BOUND = 1e-25
 
 
 class ConfigError(ValueError):
@@ -394,9 +396,9 @@ def equilibrium_sets(pair: NikishinPair) -> dict:
 
 
 def solve_config_equilibrium(config: ExperimentConfig, pair: NikishinPair, init="uniform", seed=None):
-    p1 = config.ratios.get("p1")
-    p2 = config.ratios.get("p2")
-    if p1 is None or p2 is None:
+    if config.ratios:
+        p1, p2 = config.ratios["p1"], config.ratios["p2"]
+    else:
         p1, p2 = equal_ratio_vectors(pair.m1, pair.m2)
     matrix = build_interaction_matrix(tuple(p1), tuple(p2))
     return solve_equilibrium(
@@ -689,7 +691,6 @@ def run_hermite_pade(config: ExperimentConfig, pair: NikishinPair, threads: int)
             r0 = remainder_integral(sol, 0, zv)
             a_neg = sol.form(-1, zv)
             worst_ident = max(worst_ident, float(abs(r0 - a_neg) / abs(a_neg)))
-    rank_tol = config.tolerance("rank_one")
     defect = MatrixMarkov(pair).rank_one_defect()
     return {
         "checks": [
@@ -702,8 +703,8 @@ def run_hermite_pade(config: ExperimentConfig, pair: NikishinPair, threads: int)
             _check("triangular_relations", worst_tri <= tri_tol,
                    value=worst_tri, threshold=tri_tol),
             _check("far_field_slopes", slopes_ok, slack=slope_slack),
-            _check("rank_one", defect <= rank_tol,
-                   value=defect, threshold=rank_tol),
+            _check("rank_one", defect <= RANK_ONE_BOUND,
+                   value=defect, threshold=RANK_ONE_BOUND),
         ],
         "csv": {
             "remainder_routes": (("row", "point", "rel_difference"), rows)

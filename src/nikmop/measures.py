@@ -17,7 +17,9 @@ where hat{.} denotes the Cauchy transform and the empty chain has density 1.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Sequence
 
 from mpmath import mp
@@ -46,6 +48,18 @@ def _as_mpf(value):
     if isinstance(value, (int, mp.mpf)):
         return mp.mpf(value)
     return mp.mpf(str(value))
+
+
+def _exact(value):
+    # the exact number a spec entry denotes, read as _as_mpf reads it
+    if isinstance(value, mp.mpf):
+        man, exp = value.man_exp
+        return Fraction(man) * Fraction(2) ** exp
+    if isinstance(value, int):
+        return Fraction(value)
+    if math.isinf(float(value)):
+        return float(value)
+    return Fraction(str(value))
 
 
 @dataclass(frozen=True)
@@ -90,9 +104,9 @@ class WeightSpec:
     @property
     def hull(self):
         """Smallest closed interval holding the interval and the mass
-        points, in floats: the hull every discretization of the spec has."""
+        points, exactly: the hull every discretization of the spec has."""
         a, b = self.interval
-        return _hull(float(a), float(b), [float(loc) for loc, _ in self.mass_points])
+        return _hull(_exact(a), _exact(b), [_exact(loc) for loc, _ in self.mass_points])
 
     def to_dict(self) -> dict:
         return {
@@ -457,16 +471,12 @@ class DiscretizedMeasure:
     def total_mass(self):
         return self.moment(0)
 
-    @functools.cached_property
-    def kernel(self) -> CauchyKernel:
-        return CauchyKernel(
-            self.signed_weights, self.support_points, self.precision_bits
-        )
-
     def cauchy(self, z):
         """Cauchy transform: integral of 1/(z - x) against the measure."""
         with working(self.precision_bits):
-            return self.kernel.value(z)
+            return CauchyKernel(
+                self.signed_weights, self.support_points, self.precision_bits
+            ).value(z)
 
 
 def build_gauss_rule(

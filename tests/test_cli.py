@@ -125,15 +125,6 @@ def test_tolerance_defaults_and_overrides():
     assert cfg2.tolerance("boundary_cov") == 0.02
 
 
-def test_rank_one_bound_is_an_overridable_tolerance():
-    cfg = ExperimentConfig.from_dict(config_dict(kind="hermite_pade"))
-    assert cfg.tolerance("rank_one") == 1e-25
-    cfg2 = ExperimentConfig.from_dict(
-        config_dict(kind="hermite_pade", tolerances={"rank_one": 1e-30})
-    )
-    assert cfg2.tolerance("rank_one") == 1e-30
-
-
 def test_check_names_cover_every_kind():
     assert set(CHECK_NAMES) == set(KINDS) == set(DEFAULT_TOLERANCES)
     for names in CHECK_NAMES.values():
@@ -265,6 +256,22 @@ def test_main_overlapping_supports_exit_two(tmp_path, capsys, upper):
     err = capsys.readouterr().err
     assert "config error: system1: supports of consecutive generators 0 and 1 overlap" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "upper",
+    [
+        {"family": "legendre", "interval": ["1.00000000000000000001", 3]},
+        {"family": "legendre", "interval": [2, 3],
+         "mass_points": [["1.00000000000000000001", 1.0]]},
+    ],
+)
+def test_spec_hulls_compare_exactly(upper):
+    # The decimal rounds to 1.0 as a double but lies above the base's right
+    # end 1, so the hulls are disjoint and the config is accepted.
+    assert float("1.00000000000000000001") == 1.0
+    cfg = ExperimentConfig.from_dict(config_dict(system1=[BASE_SPEC, upper]))
+    assert len(cfg.system1) == 2
 
 
 def test_end_to_end_mop_run(tmp_path, capsys):
