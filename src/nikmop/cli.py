@@ -146,10 +146,40 @@ def _check_ranges(data: dict, m1: int, m2: int) -> None:
             f"shift must be two integers in [0, {m1}] x [0, {m2}], got {shift!r}"
         )
     ray = data.get("ray", {})
-    level = ray.get("level") if isinstance(ray, dict) else None
+    if not isinstance(ray, dict):
+        ray = {}
+    level = ray.get("level")
     if level is not None and not (_is_int(level) and -m2 <= level <= m1):
         raise ConfigError(
             f"ray.level must be an integer in [{-m2}, {m1}], got {level!r}"
+        )
+    start = ray.get("start_size")
+    if start is not None and not (
+        _is_int(start) and start > 0 and start % (m1 + 1) == 0
+    ):
+        raise ConfigError(
+            f"ray.start_size must be a positive multiple of {m1 + 1}, got {start!r}"
+        )
+    # Trends and stabilization compare ray samples, so they need two.
+    steps = ray.get("steps")
+    if steps is not None and not (_is_int(steps) and steps >= 2):
+        raise ConfigError(f"ray.steps must be an integer >= 2, got {steps!r}")
+    shift_position = ray.get("shift_position")
+    if shift_position is not None and not (
+        _is_int(shift_position) and shift_position >= 0
+    ):
+        raise ConfigError(
+            f"ray.shift_position must be an integer >= 0, got {shift_position!r}"
+        )
+    positions = ray.get("positions")
+    if positions is not None and not (
+        isinstance(positions, (list, tuple))
+        and len(positions) >= 2
+        and all(_is_int(r) and r >= 0 for r in positions)
+    ):
+        raise ConfigError(
+            "ray.positions must be at least two integers >= 0, "
+            f"got {positions!r}"
         )
     ratios = data.get("ratios", {})
     if ratios:
@@ -360,17 +390,17 @@ def default_points(pair: NikishinPair, seed: int, count: int = 5) -> tuple:
     generic complex points, jittered a few percent by the seed."""
     rng = random.Random(seed)
     hulls = [pair.hull(j) for j in range(-pair.m2, pair.m1 + 1)]
-    lo = min(h[0] for h in hulls)
-    hi = max(h[1] for h in hulls)
-    span = float(hi - lo)
-    mid = float(lo + hi) / 2.0
+    lo = min(float(h[0]) for h in hulls)
+    hi = max(float(h[1]) for h in hulls)
+    span = hi - lo
+    mid = (lo + hi) / 2.0
 
     def jit():
         return 1.0 + rng.uniform(-0.05, 0.05)
 
     pts = [
-        complex(float(hi) + 0.4 * span * jit(), 0.3 * span * jit()),
-        complex(float(lo) - 0.4 * span * jit(), 0.25 * span * jit()),
+        complex(hi + 0.4 * span * jit(), 0.3 * span * jit()),
+        complex(lo - 0.4 * span * jit(), 0.25 * span * jit()),
         complex(mid, 0.5 * span * jit()),
         complex(mid + 0.17 * span * jit(), 0.8 * span * jit()),
         complex(mid - 0.23 * span * jit(), 0.65 * span * jit()),
@@ -422,8 +452,12 @@ def _lattice_worker(payload) -> list:
     the systems from the serialized config so results are independent
     of scheduling."""
     cfg_dict, chunk = payload
-    config = ExperimentConfig.from_dict(cfg_dict)
-    pair = build_pair(config)
+    return _lattice_rows(build_pair(ExperimentConfig.from_dict(cfg_dict)), chunk)
+
+
+def _lattice_rows(pair: NikishinPair, chunk) -> list:
+    """One CSV row per index of ``chunk``: solved, full degree and the
+    pivot ratio, or the normality failure."""
     rows = []
     for n1, n2 in chunk:
         index = IndexPair(tuple(n1), tuple(n2))
@@ -452,7 +486,7 @@ def run_mop(config: ExperimentConfig, pair: NikishinPair, threads: int) -> dict:
         rows = [r for part in parts for r in part]
         rows.sort(key=lambda r: (sum(r[0]), r[0], r[1]))
     else:
-        rows = _lattice_worker((config.to_dict(), items))
+        rows = _lattice_rows(pair, items)
     solved = all(r[2] for r in rows)
     full_degree = all(r[3] for r in rows if r[2])
     return {

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
 from mpmath import mp
 
 from .precision import DEFAULT_PRECISION_BITS, working
@@ -53,8 +54,10 @@ def _as_mpf(value):
 def _exact(value):
     # the exact number a spec entry denotes, read as _as_mpf reads it
     if isinstance(value, mp.mpf):
-        man, exp = value.man_exp
-        return Fraction(man) * Fraction(2) ** exp
+        sign, man, exp, _ = value._mpf_
+        if not man and exp:
+            return float(value)
+        return Fraction(-man if sign else man) * Fraction(2) ** exp
     if isinstance(value, int):
         return Fraction(value)
     if math.isinf(float(value)):
@@ -160,55 +163,86 @@ def _jacobi_mass(alpha, beta):
     return mp.power(2, alpha + beta + 1) * mp.beta(alpha + 1, beta + 1)
 
 
-def _monic_jacobi_and_derivative(n: int, x, rec):
-    p_prev, p = mp.mpf(0), mp.mpf(1)
-    d_prev, d = mp.mpf(0), mp.mpf(0)
-    for k in range(n):
-        ak, bk = rec[k]
-        p_next = (x - ak) * p - bk * p_prev
-        d_next = p + (x - ak) * d - bk * d_prev
-        p_prev, p = p, p_next
-        d_prev, d = d, d_next
-    return p, d
+#: Fixed-point bits kept beyond the requested precision in Gauss rules.
+GAUSS_GUARD_BITS = 40
+
+#: Newton steps allowed per Gauss node before the rule gives up.
+GAUSS_NEWTON_STEPS = 80
+
+
+def _to_fixed(value, bits: int) -> int:
+    """floor(value * 2**bits) for an mpf value, exactly."""
+    sign, man, exp, _ = value._mpf_
+    if sign:
+        man = -man
+    shift = exp + bits
+    return man << shift if shift >= 0 else man >> -shift
+
+
+def _scaled_monic(n: int, x: int, a2, b4, bits: int):
+    """P_n(x), P_n'(x) and P_{n-1}(x) for P_k = 2^k p_k, p_k the monic
+    orthogonal polynomials, all ints at scale 2^bits.
+
+    P_{k+1} = 2(x - a_k) P_k - 4 b_k P_{k-1} with 2 a_k and 4 b_k given
+    at scale 2^bits in ``a2``/``b4``; each product is floored once.
+    """
+    p_prev, p = 0, 1 << bits
+    d_prev, d = 0, 0
+    for a, b in zip(a2, b4):
+        t = 2 * x - a
+        p_prev, p, d_prev, d = (
+            p,
+            (t * p - b * p_prev) >> bits,
+            d,
+            ((t * d - b * d_prev) >> bits) + 2 * p,
+        )
+    return p, d, p_prev
 
 
 def _gauss_jacobi(n: int, alpha, beta, bits: int):
-    """Gauss nodes/weights for the Jacobi weight on [-1, 1] at ``bits``
-    precision.  Double-precision root estimates are Newton-refined against
-    the monic three-term recurrence; weights come from the Christoffel sum."""
-    from scipy.special import roots_jacobi
+    """Gauss nodes/weights for the Jacobi weight on [-1, 1], rounded to
+    the ambient precision.
 
-    guesses, _ = roots_jacobi(n, float(alpha), float(beta))
-    rec = [_jacobi_recurrence(k, alpha, beta) for k in range(n)]
-    stop = mp.mpf(2) ** (-(bits - 8))
+    Golub-Welsch: the eigenvalues of the Jacobi matrix in double precision
+    are the starting guesses.  Each is refined by Newton on the scaled
+    monic recurrence in Python-int fixed point at bits + GAUSS_GUARD_BITS
+    (P_k = 2^k p_k stays polynomially bounded on [-1, 1], so one scale
+    serves every k) until a step is at most 2^-(bits-8) max(1, |x|).  The
+    weights come from one more evaluation at each node:
+    w = h_{n-1} / (p_{n-1}(x) p_n'(x)) = 2H / (P_{n-1}(x) P_n'(x)) with
+    H = mu_0 prod_{k=1}^{n-1} 4 b_k.
+    """
+    scale = bits + GAUSS_GUARD_BITS
+    with working(scale):
+        rec = [_jacobi_recurrence(k, alpha, beta) for k in range(n)]
+        a2 = [_to_fixed(2 * a, scale) for a, _ in rec]
+        b4 = [_to_fixed(4 * b, scale) for _, b in rec]
+        h2 = 2 * _jacobi_mass(alpha, beta) * mp.fprod(4 * b for _, b in rec[1:])
+    jacobi_matrix = (
+        np.diag([float(a) for a, _ in rec])
+        + np.diag([math.sqrt(float(b)) for _, b in rec[1:]], 1)
+    )
+    guesses = np.linalg.eigvalsh(jacobi_matrix, UPLO="U")
+    one = 1 << scale
     nodes = []
-    for g in sorted(guesses):
-        x = mp.mpf(g)
-        for _ in range(80):
-            p, d = _monic_jacobi_and_derivative(n, x, rec)
+    weights = []
+    for g in guesses:
+        x = _to_fixed(mp.mpf(g), scale)
+        for _ in range(GAUSS_NEWTON_STEPS):
+            p, d, _ = _scaled_monic(n, x, a2, b4, scale)
             if d == 0:
                 raise QuadratureError("vanishing derivative in Newton refinement")
-            dx = p / d
-            x = x - dx
-            if abs(dx) <= stop * max(mp.mpf(1), abs(x)):
+            dx = (p << scale) // d
+            x -= dx
+            if abs(dx) << (bits - 8) <= max(one, abs(x)):
                 break
         else:
             raise QuadratureError(f"Newton refinement stalled for node near {g}")
-        nodes.append(x)
-    mu0 = _jacobi_mass(alpha, beta)
-    norms = [mu0]
-    for k in range(1, n):
-        norms.append(norms[-1] * rec[k][1])
-    weights = []
-    for x in nodes:
-        p_prev, p = mp.mpf(0), mp.mpf(1)
-        acc = p * p / norms[0]
-        for k in range(n - 1):
-            ak, bk = rec[k]
-            p_next = (x - ak) * p - bk * p_prev
-            p_prev, p = p, p_next
-            acc += p * p / norms[k + 1]
-        weights.append(1 / acc)
+        _, d, p_prev = _scaled_monic(n, x, a2, b4, scale)
+        nodes.append(mp.mpf((x, -scale)))
+        with working(scale):
+            w = mp.ldexp(h2, 2 * scale) / (p_prev * d)
+        weights.append(+w)
     return nodes, weights
 
 
@@ -433,8 +467,11 @@ class DiscretizedMeasure:
 
     @property
     def interval(self):
+        # Decimal endpoints mean their value at the measure's precision,
+        # as the nodes were mapped, whatever the caller's precision.
         a, b = self.spec.interval
-        return (_as_mpf(a), _as_mpf(b))
+        with working(self.precision_bits):
+            return (_as_mpf(a), _as_mpf(b))
 
     @property
     def hull(self):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from nikmop import cli
 from nikmop.cli import (
     CHECK_NAMES,
     ConfigError,
@@ -229,6 +230,19 @@ def test_main_malformed_point_exits_two(tmp_path, capsys, point):
             {"kind": "equilibrium", "ratios": {"p1": [0.5, 0.5]}},
             "ratios needs both p1 and p2",
         ),
+        ({"kind": "ratio", "ray": {"steps": 0}}, "ray.steps must be an integer >= 2"),
+        (
+            {"kind": "ratio", "ray": {"start_size": -3}},
+            "ray.start_size must be a positive multiple of 2",
+        ),
+        (
+            {"kind": "ratio", "ray": {"shift_position": -4}},
+            "ray.shift_position must be an integer >= 0",
+        ),
+        (
+            {"kind": "nth_root", "ray": {"positions": [-1, 2]}},
+            "ray.positions must be at least two integers >= 0",
+        ),
     ],
 )
 def test_main_out_of_range_field_exits_two(tmp_path, capsys, over, message):
@@ -272,6 +286,29 @@ def test_spec_hulls_compare_exactly(upper):
     assert float("1.00000000000000000001") == 1.0
     cfg = ExperimentConfig.from_dict(config_dict(system1=[BASE_SPEC, upper]))
     assert len(cfg.system1) == 2
+
+
+def test_decimal_endpoints_keep_the_measure_precision(tmp_path, capsys):
+    # Read as a double the upper interval would start on the base's right
+    # end; the measures keep its decimal value, so the supports stay apart.
+    upper = {"family": "legendre", "interval": ["1.00000000000000000001", 3]}
+    path = write_config(tmp_path, config_dict(system1=[BASE_SPEC, upper]))
+    assert main(["--config", path, "--out", str(tmp_path / "out")]) == 0
+    assert "[PASS] mop:normality" in capsys.readouterr().out
+
+
+def test_mop_kind_builds_the_pair_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting_build_pair(config):
+        calls.append(config)
+        return build_pair(config)
+
+    build_pair = cli.build_pair
+    monkeypatch.setattr(cli, "build_pair", counting_build_pair)
+    path = write_config(tmp_path, config_dict())
+    assert main(["--config", path, "--out", str(tmp_path / "out"), "--threads", "1"]) == 0
+    assert len(calls) == 1
 
 
 def test_end_to_end_mop_run(tmp_path, capsys):

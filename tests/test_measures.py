@@ -1,12 +1,21 @@
+import os
+import subprocess
+import sys
+from fractions import Fraction
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+import nikmop
+from nikmop import measures
 from nikmop.measures import (
     CauchyKernel,
     MeasureError,
     NikishinSystem,
+    QuadratureError,
     WeightSpec,
     build_gauss_rule,
     cauchy_transform,
@@ -76,6 +85,115 @@ def test_jacobi_total_mass_is_beta_function():
         assert abs(meas.total_mass() - want) < FLOOR
 
 
+def mpf_gauss_jacobi(n, alpha, beta):
+    """Reference Gauss-Jacobi rule in mpf at the ambient precision: Newton
+    on the monic recurrence from Golub-Welsch guesses, weights from the
+    Christoffel sum 1 / sum_k p_k(x)^2 / h_k."""
+    rec = [measures._jacobi_recurrence(k, alpha, beta) for k in range(n)]
+    jacobi_matrix = np.diag([float(a) for a, _ in rec]) + np.diag(
+        [float(mp.sqrt(b)) for _, b in rec[1:]], 1
+    )
+    guesses = np.linalg.eigvalsh(jacobi_matrix, UPLO="U")
+    stop = mp.mpf(2) ** (-(mp.prec - 8))
+    nodes = []
+    for g in guesses:
+        x = mp.mpf(g)
+        for _ in range(80):
+            p_prev, p, d_prev, d = mp.mpf(0), mp.mpf(1), mp.mpf(0), mp.mpf(0)
+            for ak, bk in rec:
+                p_prev, p, d_prev, d = (
+                    p, (x - ak) * p - bk * p_prev, d, p + (x - ak) * d - bk * d_prev
+                )
+            dx = p / d
+            x -= dx
+            if abs(dx) <= stop * max(1, abs(x)):
+                break
+        else:
+            raise AssertionError(f"reference Newton stalled near {g}")
+        nodes.append(x)
+    norms = [measures._jacobi_mass(alpha, beta)]
+    for _, bk in rec[1:]:
+        norms.append(norms[-1] * bk)
+    weights = []
+    for x in nodes:
+        p_prev, p = mp.mpf(0), mp.mpf(1)
+        acc = 1 / norms[0]
+        for k, (ak, bk) in enumerate(rec[:-1]):
+            p_prev, p = p, (x - ak) * p - bk * p_prev
+            acc += p * p / norms[k + 1]
+        weights.append(1 / acc)
+    return nodes, weights
+
+
+JACOBI_PARAMS = {
+    "legendre": ("0", "0"),
+    "jacobi(0.5,-0.5)": ("0.5", "-0.5"),
+    "jacobi(-0.9,2.5)": ("-0.9", "2.5"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(JACOBI_PARAMS))
+@pytest.mark.parametrize("n, bits", [(64, 256), (128, 256), (32, 512), (96, 512)])
+def test_gauss_jacobi_matches_mpf_reference(name, n, bits):
+    # Exponents as build_gauss_rule passes them: decimals read at ``bits``.
+    with working(bits):
+        alpha, beta = (mp.mpf(v) for v in JACOBI_PARAMS[name])
+        nodes, weights = measures._gauss_jacobi(n, alpha, beta, bits)
+    with working(bits + 64):
+        ref_nodes, ref_weights = mpf_gauss_jacobi(n, alpha, beta)
+        assert len(nodes) == len(weights) == n
+        node_tol = mp.mpf(2) ** -(bits - 2)
+        weight_tol = mp.mpf(2) ** -(bits - 6)
+        for x, ref in zip(nodes, ref_nodes):
+            assert abs(x - ref) <= node_tol * max(1, abs(ref))
+        for w, ref in zip(weights, ref_weights):
+            assert abs(w - ref) <= weight_tol * ref
+
+
+@pytest.mark.parametrize("n, bits", [(64, BITS), (32, 512)])
+def test_jacobi_rule_moments_closed_form(n, bits):
+    # With x = cos(t), (1-x)^(1/2) (1+x)^(-1/2) dx = (1 - cos t) dt on
+    # [0, pi], so the k-th moment is c_k - c_{k+1} with
+    # c_k = int_0^pi cos^k t dt = pi binom(k, k/2) / 2^k (k even, else 0).
+    spec = WeightSpec(family="jacobi", interval=(-1, 1), alpha=0.5, beta=-0.5)
+    meas = build_gauss_rule(spec, n, bits)
+    with working(bits):
+
+        def c(k):
+            return mp.pi * mp.binomial(k, k // 2) / 2**k if k % 2 == 0 else 0
+
+        for k in range(2 * n):
+            assert abs(meas.moment(k) - (c(k) - c(k + 1))) < mp.mpf(2) ** -(bits - 8)
+
+
+def test_gauss_jacobi_stall_raises(monkeypatch):
+    # One Newton step from a double-precision guess cannot reach 2^-248.
+    monkeypatch.setattr(measures, "GAUSS_NEWTON_STEPS", 1)
+    with pytest.raises(QuadratureError, match="stalled"):
+        build_gauss_rule(WeightSpec(family="legendre", interval=(-1, 1)), 8, BITS)
+
+
+def test_rules_and_package_do_not_import_scipy():
+    script = (
+        "import importlib, pkgutil, sys\n"
+        "import nikmop\n"
+        "from nikmop.measures import WeightSpec, build_gauss_rule\n"
+        "for info in pkgutil.iter_modules(nikmop.__path__):\n"
+        "    importlib.import_module('nikmop.' + info.name)\n"
+        "for family in ('chebyshev1', 'chebyshev2', 'legendre', 'jacobi'):\n"
+        "    build_gauss_rule(WeightSpec(family=family, interval=(-1, 1),\n"
+        "                     alpha=0.5, beta=-0.5), 8, 128)\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+    )
+    src = os.path.dirname(os.path.dirname(nikmop.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+
+
 @settings(deadline=None, max_examples=30)
 @given(
     coeffs=st.lists(
@@ -133,6 +251,16 @@ def test_weight_spec_validation():
         WeightSpec(family="legendre", interval=(0, 1), mass_points=((2, 0),))
     with pytest.raises(MeasureError):
         WeightSpec.from_dict({"family": "legendre", "interval": [0, 1], "mass": 2})
+
+
+def test_weight_spec_hull_keeps_signs_of_mpf_values():
+    spec = WeightSpec(
+        family="legendre",
+        interval=(mp.mpf(-3), mp.mpf("-2.5")),
+        mass_points=((mp.mpf(-4), 1),),
+    )
+    assert spec.hull == (-4, Fraction(-5, 2))
+    assert WeightSpec("legendre", (mp.ninf, mp.mpf(0))).hull[0] == float("-inf")
 
 
 def test_weight_spec_round_trip():
