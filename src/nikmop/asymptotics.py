@@ -148,45 +148,6 @@ def nth_root_harness(
     )
 
 
-def coefficient_root_harness(
-    pair, ray: IndexRay, j: int, points, equilibrium, samples, margin=1e-9
-) -> ConvergenceRecord:
-    """Record |a_j|^(1/|n1|) against exp(-zeta_j) at points where one
-    exponent dominates; points on a region boundary (within ``margin``)
-    are rejected, since there the limit is only one-sided."""
-    bits = pair.precision_bits
-    for z in points:
-        if equilibrium.dominance_level(j, complex(z), margin=margin) is None:
-            raise ValueError(f"point {z} sits on a dominance boundary")
-    sizes = []
-    values = [[] for _ in points]
-    targets = [
-        math.exp(-equilibrium.zeta(j, complex(z))) for z in points
-    ]
-    for r in samples:
-        index = ray.at(r)
-        sol = solve_cached(pair, index)
-        sizes.append(index.size)
-        with working(bits):
-            for i, z in enumerate(points):
-                root = abs(sol.a(j, mp.mpmathify(z))) ** (
-                    mp.mpf(1) / index.size
-                )
-                values[i].append(float(root))
-    errors = tuple(
-        tuple(abs(v - targets[i]) for v in row)
-        for i, row in enumerate(values)
-    )
-    return ConvergenceRecord(
-        label=f"coefficient root level {j}",
-        points=tuple(points),
-        sample_sizes=tuple(sizes),
-        values=tuple(tuple(row) for row in values),
-        targets=tuple(targets),
-        errors=errors,
-    )
-
-
 def ratio_harness(
     pair, ray: IndexRay, shift_position: int, j: int, points, steps: int,
     kind: str = "zero_poly",
@@ -294,19 +255,16 @@ def kappa_ratio_harness(
     )
 
 
-_VARYING_CACHE = {}
-
-
 def _varying(pair, index: IndexPair):
-    key = (id(pair), index)
-    if key not in _VARYING_CACHE:
-        sol = solve_cached(pair, index)
+    """Varying data of ``index``, kept with its cached solution."""
+    sol = solve_cached(pair, index)
+    if "varying" not in sol._cache:
         zero_sets = {
             j: extract_cached(sol, j)
             for j in range(-index.m2, index.m1 + 1)
         }
-        _VARYING_CACHE[key] = compute_varying_data(sol, zero_sets)
-    return _VARYING_CACHE[key]
+        sol._cache["varying"] = compute_varying_data(sol, zero_sets)
+    return sol._cache["varying"]
 
 
 def epsilon_ratio_check(pair, ray: IndexRay, positions, j: int) -> list:

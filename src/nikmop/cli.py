@@ -78,7 +78,7 @@ from .mop import (
     extract_cached,
     solve_cached,
 )
-from .precision import working
+from .precision import MIN_PRECISION_BITS, working
 from .reporting import config_hash, write_csv, write_gnuplot_dat, write_summary
 
 KINDS = (
@@ -250,8 +250,14 @@ class ExperimentConfig:
             ("panels", self.panels),
             ("n_max", self.n_max),
         ):
-            if not isinstance(val, int) or val <= 0:
+            if not _is_int(val) or val <= 0:
                 raise ConfigError(f"{name} must be a positive integer")
+        if self.precision_bits < MIN_PRECISION_BITS:
+            raise ConfigError(
+                f"precision_bits must be at least {MIN_PRECISION_BITS}"
+            )
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
         unknown = set(self.ray) - _RAY_KEYS
         if unknown:
             raise ConfigError(f"unknown keys: ray.{sorted(unknown)[0]}")

@@ -18,13 +18,17 @@ import numpy as np
 
 DEFAULT_PANELS = 256
 DEFAULT_TOL = 1e-4
-ITERATION_CAP = 50_000
+#: Active-set passes before the solve gives up on a cycling free set.  When
+#: every cell carries mass, one pass settles from the uniform start and two
+#: from a random one; layouts whose supports leave cells empty take more.
+MAX_PASSES = 50
 
 ACTIVE_MASS_FACTOR = 1e-3
 
 
 class EquilibriumError(RuntimeError):
-    """Raised when the minimizer fails to reach the requested residual."""
+    """Raised when the active set does not settle or the minimizer misses
+    the requested residual."""
 
 
 def cumulative_ratios(p1, p2) -> dict:
@@ -229,8 +233,7 @@ class EquilibriumSolution:
 
     ``masses[j]`` is the probability vector over the cells of grid j;
     ``omega[j]`` the variational constant (minimum of the combined
-    potential over the grid); ``cascade`` the same constants rewritten
-    in the normalized telescoping form used by the limit functions.
+    potential over the grid).
     """
 
     matrix: InteractionMatrix
@@ -241,23 +244,9 @@ class EquilibriumSolution:
     residual: float
     iterations: int
 
-    @property
-    def cascade(self) -> dict:
-        """Back-substituted constants: omega[j]/P_j^2 plus the scaled
-        next constant, downward from the top level."""
-        big_p = self.matrix.big_p
-        out = {}
-        acc = 0.0
-        for j in range(self.matrix.m1, -self.matrix.m2 - 1, -1):
-            acc = self.omega[j] / big_p[j] ** 2 + (
-                big_p[j + 1] / big_p[j]
-            ) * acc
-            out[j] = acc
-        return out
-
     def constant_sum(self, j: int) -> float:
-        """Sum of omega[k]/P_k over levels above j; equals
-        P_{j+1} * cascade[j+1] by the telescoping identity."""
+        """Sum of omega[k]/P_k over the levels k above j; twice it is the
+        constant term of the exponent ``eval_U(j, .)``."""
         big_p = self.matrix.big_p
         return sum(
             self.omega[k] / big_p[k] for k in range(j + 1, self.matrix.m1 + 1)
@@ -281,13 +270,6 @@ class EquilibriumSolution:
                 total -= m * math.log(abs(complex(z) - t))
         return total
 
-    def combined_potential(self, j: int, z) -> float:
-        """Row j of the coupled potentials: sum_k c_{j,k} V_k(z)."""
-        return sum(
-            self.matrix.c(j, k) * self.potential(k, z)
-            for k in self.matrix.levels()
-        )
-
     def eval_U(self, j: int, z) -> float:
         """Exponent of the nth-root limit at level j, defined for
         j in [-m2-1, m1]; out-of-chain potentials drop out through
@@ -305,29 +287,6 @@ class EquilibriumSolution:
 
     def eval_G(self, j: int, z) -> float:
         return math.exp(-self.eval_U(j, z))
-
-    def zeta(self, j: int, z) -> float:
-        """Smallest exponent over levels j..m1 (coefficient polynomials
-        feel whichever form dominates)."""
-        return min(self.eval_U(k, z) for k in range(j, self.matrix.m1 + 1))
-
-    def chi(self, j: int, z) -> float:
-        """Smallest exponent over the negative levels -1..-j-1, the
-        remainder-function analog of zeta."""
-        if not 0 <= j <= self.matrix.m2:
-            raise ValueError(f"remainder level {j} outside [0, {self.matrix.m2}]")
-        return min(self.eval_U(k, z) for k in range(-j - 1, 0))
-
-    def dominance_level(self, j: int, z, margin: float = 0.0):
-        """Index k in [j, m1] whose exponent strictly dominates at z, or
-        None when the two smallest exponents sit within ``margin`` (a
-        region boundary at the working resolution)."""
-        vals = sorted(
-            (self.eval_U(k, z), k) for k in range(j, self.matrix.m1 + 1)
-        )
-        if len(vals) > 1 and vals[1][0] - vals[0][0] <= margin:
-            return None
-        return vals[0][1]
 
     def to_dict(self) -> dict:
         return {
@@ -379,8 +338,8 @@ def _split(w: np.ndarray, offsets, levels) -> dict:
 
 
 def _variational_state(q, w, offsets, levels):
-    """Combined potentials on the grid, constants, and the residual of
-    the equilibrium conditions restricted to carrying cells."""
+    """Constants (minimum combined potential per level) and the residual
+    of the equilibrium conditions restricted to carrying cells."""
     grad = q @ w
     omega = {}
     residual = 0.0
@@ -392,44 +351,50 @@ def _variational_state(q, w, offsets, levels):
         active = mass > ACTIVE_MASS_FACTOR / len(mass)
         if active.any():
             residual = max(residual, float(pot[active].max() - omega[j]))
-    return grad, omega, residual
+    return omega, residual
 
 
-def _kkt_polish(q, w, offsets, levels, passes: int = 30):
-    """Solve the equality-constrained quadratic exactly on the current
-    carrying set, dropping cells that come out negative.  The discrete
-    optimum has a flat potential on carrying cells, so this removes the
-    slow tail of first-order iterations."""
-    n = len(w)
+def _active_set_solve(q, w, offsets, levels):
+    """Minimize w q w over the product of simplices, starting from the
+    cells where ``w`` is positive.
+
+    Each pass solves the equality-constrained KKT system exactly on the
+    free cells, then keeps the free cells that came out positive and frees
+    every fixed cell whose reduced potential 2 q w + B^T nu is negative
+    (an active-set method for the convex quadratic; Lawson & Hanson,
+    *Solving Least Squares Problems*, 1974, ch. 23).  Returns the
+    minimizer and the number of passes.
+    """
+    n, nl = len(w), len(levels)
+    level_of = np.repeat(np.arange(nl), np.diff(offsets))
     free = w > 0
-    for _ in range(passes):
+    for passes in range(1, MAX_PASSES + 1):
         idx = np.flatnonzero(free)
         nf = len(idx)
-        rows = []
-        rhs = []
-        for a in range(len(levels)):
-            seg = np.zeros(n)
-            seg[offsets[a]:offsets[a + 1]] = 1.0
-            rows.append(seg[idx])
-            rhs.append(1.0)
-        b = np.array(rows)
-        kkt = np.zeros((nf + len(levels), nf + len(levels)))
+        b = (level_of[idx] == np.arange(nl)[:, None]).astype(float)
+        kkt = np.zeros((nf + nl, nf + nl))
         kkt[:nf, :nf] = 2 * q[np.ix_(idx, idx)]
         kkt[:nf, nf:] = b.T
         kkt[nf:, :nf] = b
-        vec = np.concatenate([np.zeros(nf), rhs])
+        vec = np.concatenate([np.zeros(nf), np.ones(nl)])
         try:
             sol = np.linalg.solve(kkt, vec)
         except np.linalg.LinAlgError:
             sol, *_ = np.linalg.lstsq(kkt, vec, rcond=None)
-        cand = np.zeros(n)
-        cand[idx] = sol[:nf]
-        if (cand[idx] >= 0).all():
-            return cand
-        free = free & (cand >= 0)
-        if free.sum() < len(levels):
-            break
-    return None
+        w = np.zeros(n)
+        w[idx] = sol[:nf]
+        reduced = 2 * (q @ w) + sol[nf:][level_of]
+        next_free = np.where(free, w > 0, reduced < 0)
+        if (next_free == free).all():
+            return w, passes
+        if np.bincount(level_of[next_free], minlength=nl).min() == 0:
+            raise EquilibriumError(
+                f"a level lost every carrying cell after {passes} passes"
+            )
+        free = next_free
+    raise EquilibriumError(
+        f"active set still changing after {MAX_PASSES} passes"
+    )
 
 
 def solve_equilibrium(
@@ -439,16 +404,16 @@ def solve_equilibrium(
     tol: float = DEFAULT_TOL,
     init: str = "uniform",
     seed: int = 0,
-    iteration_cap: int = ITERATION_CAP,
 ) -> EquilibriumSolution:
     """Minimize the coupled log energy over the product of simplices.
 
     ``sets`` maps each level j in [-m2, m1] to an interval (a, b) or a
-    dict {"interval": (a, b), "atoms": (t, ...)}.  Projected gradient
-    steps with Armijo backtracking drive the variational residual down;
-    once it is within reach, one exact solve on the carrying cells
-    finishes the job (the objective is a convex quadratic).  Raises
-    EquilibriumError if the residual cannot be brought below ``tol``.
+    dict {"interval": (a, b), "atoms": (t, ...)}.  The objective is a
+    convex quadratic, so an active-set solve finds the discrete minimizer
+    exactly: ``init`` ("uniform", or "random" with ``seed``) only picks
+    the cells it starts from, and ``iterations`` counts its passes.
+    Raises EquilibriumError if the active set does not settle or the
+    variational residual of the result is above ``tol``.
     """
     grids = {}
     for j in matrix.levels():
@@ -460,7 +425,6 @@ def solve_equilibrium(
         else:
             grids[j] = _make_grid(spec, panels_per_set)
     q, offsets, levels = _assemble(matrix, grids)
-    n = offsets[-1]
 
     if init == "uniform":
         w = np.concatenate(
@@ -477,70 +441,21 @@ def solve_equilibrium(
     else:
         raise ValueError(f"unknown init {init!r}")
 
-    energy = float(w @ q @ w)
-    step = 1.0 / max(abs(np.diag(q)).max(), 1.0)
-    iterations = 0
-    best = None
-    while iterations < iteration_cap:
-        grad, omega, residual = _variational_state(q, w, offsets, levels)
-        if best is None or residual < best[0]:
-            best = (residual, w.copy(), omega, energy)
-        if residual <= 100 * tol or iterations % 50 == 25:
-            polished = _kkt_polish(q, w, offsets, levels)
-            if polished is not None:
-                _, omega_p, residual_p = _variational_state(
-                    q, polished, offsets, levels
-                )
-                energy_p = float(polished @ q @ polished)
-                if residual_p < best[0]:
-                    best = (residual_p, polished, omega_p, energy_p)
-                if residual_p <= tol:
-                    w, omega, residual, energy = (
-                        polished,
-                        omega_p,
-                        residual_p,
-                        energy_p,
-                    )
-                    break
-        if residual <= tol:
-            break
-        moved = False
-        trial_step = step
-        for _ in range(60):
-            cand = np.empty_like(w)
-            for a in range(len(levels)):
-                seg = slice(offsets[a], offsets[a + 1])
-                cand[seg] = project_simplex(w[seg] - trial_step * 2 * grad[seg])
-            delta = cand - w
-            cand_energy = float(cand @ q @ cand)
-            if cand_energy <= energy - 1e-4 * (delta @ delta) / max(
-                trial_step, 1e-300
-            ):
-                w = cand
-                energy = cand_energy
-                step = trial_step * 1.3
-                moved = True
-                break
-            trial_step /= 2
-        iterations += 1
-        if not moved:
-            break
-
-    residual, w, omega, energy = best
+    w, passes = _active_set_solve(q, w, offsets, levels)
+    omega, residual = _variational_state(q, w, offsets, levels)
     if residual > tol:
         raise EquilibriumError(
             f"variational residual {residual:.3e} above tolerance {tol:.1e} "
-            f"after {iterations} iterations"
+            f"after {passes} passes"
         )
-    masses = _split(w, offsets, levels)
     return EquilibriumSolution(
         matrix=matrix,
         grids=grids,
-        masses={j: masses[j].copy() for j in levels},
+        masses=_split(w, offsets, levels),
         omega=omega,
-        energy=energy,
+        energy=float(w @ q @ w),
         residual=residual,
-        iterations=iterations,
+        iterations=passes,
     )
 
 

@@ -11,6 +11,9 @@ from mpmath import mp
 
 DEFAULT_PRECISION_BITS = 256
 
+#: Fewest binary digits ``working`` accepts.
+MIN_PRECISION_BITS = 8
+
 #: Pivot threshold exponent fraction for the moment-system elimination.
 PIVOT_EXPONENT_FRACTION = 0.8
 
@@ -20,8 +23,10 @@ REFINE_EXPONENT_FRACTION = 0.25
 
 def working(bits: int):
     """Context manager running the enclosed block at ``bits`` binary digits."""
-    if bits < 8:
-        raise ValueError(f"precision must be at least 8 bits, got {bits}")
+    if bits < MIN_PRECISION_BITS:
+        raise ValueError(
+            f"precision must be at least {MIN_PRECISION_BITS} bits, got {bits}"
+        )
     return mp.workprec(bits)
 
 

@@ -243,6 +243,15 @@ def test_main_malformed_point_exits_two(tmp_path, capsys, point):
             {"kind": "nth_root", "ray": {"positions": [-1, 2]}},
             "ray.positions must be at least two integers >= 0",
         ),
+        ({"kind": "equilibrium", "seed": -3}, "seed must be an integer >= 0"),
+        ({"kind": "equilibrium", "seed": "x"}, "seed must be an integer >= 0"),
+        ({"kind": "equilibrium", "seed": 1.5}, "seed must be an integer >= 0"),
+        ({"precision_bits": True}, "precision_bits must be a positive integer"),
+        ({"quadrature_nodes": True}, "quadrature_nodes must be a positive integer"),
+        ({"max_size": True}, "max_size must be a positive integer"),
+        ({"kind": "equilibrium", "panels": True}, "panels must be a positive integer"),
+        ({"kind": "nth_root", "n_max": True}, "n_max must be a positive integer"),
+        ({"precision_bits": 4}, "precision_bits must be at least 8"),
     ],
 )
 def test_main_out_of_range_field_exits_two(tmp_path, capsys, over, message):
