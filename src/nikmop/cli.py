@@ -6,8 +6,9 @@ check bundle, and writes a deterministic summary plus CSV/gnuplot data
 files.  Exit status: 0 all checks passed, 1 a check failed, 2 bad
 config, 3 numeric failure inside the pipeline.
 
-Timestamps live only in run_meta.json so summary.json is byte-identical
-across reruns of the same config and seed.
+Timestamps and solver pass counts live only in run_meta.json, so
+summary.json is byte-identical across reruns of the same config and seed
+and does not move when a solver takes a different number of passes.
 """
 
 from __future__ import annotations
@@ -606,8 +607,11 @@ def run_equilibrium(config: ExperimentConfig, pair: NikishinPair, threads: int) 
         "csv": {"masses": (("level", "cell_center", "mass"), rows)},
         "summary_extra": {
             "omega": {str(j): sol.omega[j] for j in sol.omega},
-            "iterations": sol.iterations,
             "residual": sol.residual,
+        },
+        "meta_extra": {
+            "iterations": sol.iterations,
+            "restart_iterations": sol2.iterations,
         },
     }
 
@@ -844,6 +848,7 @@ def _write_outputs(out_dir: str, config: ExperimentConfig, result: dict, elapsed
         "written_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "elapsed_seconds": elapsed,
         "version": __version__,
+        **result.get("meta_extra", {}),
     }
     with open(os.path.join(out_dir, "run_meta.json"), "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)

@@ -25,6 +25,7 @@ from .measures import (
     DiscretizedMeasure,
     MeasureError,
     NikishinSystem,
+    _to_fixed,
 )
 from .polys import (
     poly_eval,
@@ -224,84 +225,100 @@ class NikishinPair:
         return self._moment_cache[key]
 
 
-def assemble_moment_system(pair: NikishinPair, index: IndexPair):
-    """Homogeneous moment matrix of the orthogonality conditions: one row
-    per (k, nu) in row_layout, one column per (j, p) in column_layout, entry
-    equal to the base integral of x^(nu+p) shat1_{1,j} shat2_{1,k}."""
+def assemble_moment_system(pair: NikishinPair, index: IndexPair) -> list:
+    """Homogeneous moment matrix of the orthogonality conditions, as a list
+    of row lists of mpf: one row per (k, nu) in row_layout, one column per
+    (j, p) in column_layout, entry equal to the base integral of
+    x^(nu+p) shat1_{1,j} shat2_{1,k}."""
     if index.m1 != pair.m1 or index.m2 != pair.m2:
         raise ValueError(
             f"index shape ({index.m1}, {index.m2}) does not match systems "
             f"({pair.m1}, {pair.m2})"
         )
-    rows = index.row_layout()
     cols = index.column_layout()
-    with working(pair.precision_bits):
-        mat = mp.matrix(len(rows), len(cols))
-        for r, (k, nu) in enumerate(rows):
-            for c, (j, p) in enumerate(cols):
-                mat[r, c] = pair.mixed_moment(j, k, nu + p)
-    return mat
+    return [
+        [pair.mixed_moment(j, k, nu + p) for j, p in cols]
+        for k, nu in index.row_layout()
+    ]
 
 
-def _solve_square(mat, rhs, rel_pivot_floor):
-    """Partial-pivot elimination; returns (solution, smallest pivot ratio).
-    ``mat``/``rhs`` are lists of lists / list of mpf, modified in place."""
-    n = len(rhs)
-    scale = max(
-        (abs(v) for row in mat for v in row), default=mp.mpf(0)
+#: Fraction bits kept beyond the working precision in the moment solve.
+SOLVE_GUARD_BITS = 64
+
+
+def _column_top(column) -> int:
+    """Exponent e with |v| < 2^e for every v in ``column``, read from the
+    largest entry's mantissa (0 for an all-zero column)."""
+    return max(
+        (v._mpf_[2] + v._mpf_[3] for v in column if v._mpf_[1]), default=0
     )
-    if scale == 0:
-        return None, mp.mpf(0)
-    min_ratio = mp.inf
-    for col in range(n):
-        piv_row = max(range(col, n), key=lambda r: abs(mat[r][col]))
-        piv = mat[piv_row][col]
-        ratio = abs(piv) / scale
-        min_ratio = min(min_ratio, ratio)
-        if ratio < rel_pivot_floor:
-            return None, min_ratio
-        if piv_row != col:
-            mat[col], mat[piv_row] = mat[piv_row], mat[col]
-            rhs[col], rhs[piv_row] = rhs[piv_row], rhs[col]
-        inv = 1 / mat[col][col]
-        for r in range(col + 1, n):
-            f = mat[r][col] * inv
-            if f == 0:
-                continue
-            for c in range(col, n):
-                mat[r][c] -= f * mat[col][c]
-            rhs[r] -= f * rhs[col]
-    sol = [mp.mpf(0)] * n
-    for r in range(n - 1, -1, -1):
-        acc = rhs[r]
-        for c in range(r + 1, n):
-            acc -= mat[r][c] * sol[c]
-        sol[r] = acc / mat[r][r]
-    return sol, min_ratio
 
 
-def _nullspace_vector(mat, floor):
-    """Right-singular vector for the smallest singular value of ``mat``
-    (rows x cols, rows = cols - 1).  Raises if the kernel is not
-    one-dimensional at the working scale."""
-    rows, cols = mat.rows, mat.cols
-    square = mp.matrix(cols, cols)
-    for r in range(rows):
-        for c in range(cols):
-            square[r, c] = mat[r, c]
-    u, s, v = mp.svd_r(square, full_matrices=True)
-    smallest = s[cols - 1]
-    second = s[cols - 2] if cols >= 2 else mp.inf
-    scale = max(s[0], mp.mpf(1))
-    if second / scale < floor:
+def _solve_fixed(mat: list, bits: int) -> tuple:
+    """Solve mat[:, :-1] x = -mat[:, -1] for the n x (n + 1) moment matrix
+    ``mat``; returns (x as mpf, smallest pivot ratio).
+
+    Each column c is read exactly as ints at scale 2^(F - top_c),
+    F = bits + SOLVE_GUARD_BITS, top_c its ``_column_top``: an exact
+    power-of-two equilibration that puts every column's largest entry in
+    [2^(F-1), 2^F).  Partial-pivot elimination runs in Python ints, each
+    multiplier (a << F) // pivot and each update (f * p) >> F floored
+    once; back substitution keeps the fixed-point solution at scale 2^F.
+    Column scaling commutes with elimination, so the pivot rows are those
+    of the unscaled matrix and the unscaled pivot is exactly
+    pivot * 2^(top_c - F); its ratio to the largest entry of mat[:, :-1]
+    is tested against ``pivot_threshold(bits)``.  Solution entry c is
+    y_c * 2^(top_n - top_c - F), rounded to the working precision.
+    """
+    n = len(mat)
+    frac = bits + SOLVE_GUARD_BITS
+    tops = [_column_top([row[c] for row in mat]) for c in range(n + 1)]
+    shifts = [frac - top for top in tops]
+    a = [[_to_fixed(v, s) for v, s in zip(row, shifts)] for row in mat]
+    for row in a:
+        row[n] = -row[n]
+    # Each column's largest entry converts exactly, so this is the largest
+    # |entry| of mat[:, :-1].
+    scale = max(
+        mp.mpf((max(abs(row[c]) for row in a), tops[c] - frac))
+        for c in range(n)
+    )
+    if not scale:
         raise NormalityViolation(
-            "moment system kernel is not one-dimensional at the working "
-            f"scale (second singular value ratio {mp.nstr(second / scale, 5)}). "
-            "For a Nikishin pair this almost always means the conditioning "
-            "of the index outgrew the precision; rebuild the measures with "
-            "more bits."
+            "moment matrix vanishes at the working precision; rebuild the "
+            "measures with more bits"
         )
-    return [v[cols - 1, c] for c in range(cols)]
+    floor = pivot_threshold(bits)
+    min_ratio = mp.inf
+    for c in range(n):
+        p = max(range(c, n), key=lambda r: abs(a[r][c]))
+        piv = a[p][c]
+        ratio = mp.mpf((abs(piv), tops[c] - frac)) / scale
+        min_ratio = min(min_ratio, ratio)
+        if ratio < floor:
+            raise NormalityViolation(
+                f"pivot ratio {mp.nstr(ratio, 5)} of the moment system is "
+                f"below the threshold {mp.nstr(floor, 5)}: the conditioning "
+                "of the index outgrew the precision; rebuild the measures "
+                "with more bits."
+            )
+        a[c], a[p] = a[p], a[c]
+        prow = a[c]
+        for row in a[c + 1 :]:
+            if row[c]:
+                f = (row[c] << frac) // piv
+                for k in range(c + 1, n + 1):
+                    row[k] -= (f * prow[k]) >> frac
+    y = [0] * n
+    for r in range(n - 1, -1, -1):
+        row = a[r]
+        acc = row[n] << frac
+        for c in range(r + 1, n):
+            acc -= row[c] * y[c]
+        y[r] = acc // row[r]
+    return [
+        mp.mpf((v, tops[n] - tops[c] - frac)) for c, v in enumerate(y)
+    ], min_ratio
 
 
 @dataclass(eq=False)
@@ -319,7 +336,9 @@ class MopSolution:
     monic_block: int
     precision_bits: int
     pivot_ratio: float
-    used_nullspace: bool
+    #: Always False: a pivot below the threshold raises instead.  Kept for
+    #: readers of the field, such as the benchmark's tracer.
+    used_nullspace: bool = False
     _cache: dict = field(default_factory=dict, repr=False)
 
     def a(self, j: int, z):
@@ -428,45 +447,24 @@ def solve_mop(pair: NikishinPair, index: IndexPair) -> MopSolution:
     """Solve the orthogonality conditions for ``index`` and normalize so the
     last nonzero block is monic.
 
-    The square system (pinned leading coefficient moved to the right-hand
-    side) is eliminated with partial pivoting; if any pivot falls below the
-    precision-derived threshold relative to the matrix scale, the solver
-    falls back to an SVD nullspace of the homogeneous system and rescales
-    by the last nonzero coefficient.  A leading coefficient of any nonzero
-    block that vanishes at the working scale raises NormalityViolation.
+    The pinned leading coefficient moves to the right-hand side, and the
+    square system is solved by partial-pivot elimination in Python-int
+    fixed point after an exact power-of-two scaling of each column
+    (``_solve_fixed``).  ``pivot_ratio`` is the smallest pivot relative to
+    the largest entry of the unscaled matrix.  A pivot ratio below
+    ``pivot_threshold(bits)``, an all-zero matrix, or a leading coefficient
+    of any nonzero block that vanishes at the working scale raises
+    NormalityViolation; rebuilding the measures with more bits is the only
+    remedy.
     """
     bits = pair.precision_bits
     if not any(index.n1):
         raise ValueError("index has no unknowns")
     mat = assemble_moment_system(pair, index)
-    cols = index.column_layout()
-    n_rows, n_cols = mat.rows, mat.cols
-    floor = pivot_threshold(bits)
     with working(bits):
-        used_nullspace = False
-        if n_rows == 0:
-            stacked = [mp.mpf(0)] * n_cols
-            stacked[-1] = mp.mpf(1)
-            ratio = mp.mpf(1)
-        else:
-            work = [
-                [mat[r, c] for c in range(n_cols - 1)] for r in range(n_rows)
-            ]
-            rhs = [-mat[r, n_cols - 1] for r in range(n_rows)]
-            sol, ratio = _solve_square(work, rhs, floor)
-            if sol is None:
-                used_nullspace = True
-                stacked = _nullspace_vector(mat, floor)
-                last = max(
-                    (i for i, v in enumerate(stacked) if v != 0),
-                    default=None,
-                )
-                if last is None:
-                    raise NormalityViolation("nullspace vector is zero")
-                pivot = stacked[last]
-                stacked = [v / pivot for v in stacked]
-            else:
-                stacked = sol + [mp.mpf(1)]
+        # With |n2| = 0 there are no conditions and one unknown, the pin.
+        sol, ratio = _solve_fixed(mat, bits) if mat else ([], mp.mpf(1))
+        stacked = sol + [mp.mpf(1)]
         blocks = []
         pos = 0
         for j in range(index.m1 + 1):
@@ -489,7 +487,6 @@ def solve_mop(pair: NikishinPair, index: IndexPair) -> MopSolution:
         monic_block=monic_block,
         precision_bits=bits,
         pivot_ratio=float(ratio),
-        used_nullspace=used_nullspace,
     )
 
 

@@ -337,6 +337,16 @@ def test_end_to_end_mop_run(tmp_path, capsys):
     assert "version" in meta and "elapsed_seconds" in meta
 
 
+def test_equilibrium_passes_go_to_run_meta_only(tmp_path):
+    path = write_config(tmp_path, config_dict(kind="equilibrium", panels=32))
+    out_dir = tmp_path / "out"
+    assert main(["--config", path, "--out", str(out_dir)]) == 0
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert "iterations" not in summary and "residual" in summary
+    meta = json.loads((out_dir / "run_meta.json").read_text())
+    assert meta["iterations"] >= 1 and meta["restart_iterations"] >= 1
+
+
 def test_summary_is_byte_deterministic(tmp_path):
     path = write_config(tmp_path, config_dict())
     first = tmp_path / "out1"

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from nikmop import mop
 from nikmop.mop import (
     IndexPair,
     MopSolution,
@@ -14,9 +15,9 @@ from nikmop.mop import (
     solve_cached,
     solve_mop,
 )
-from nikmop.precision import refine_tolerance, working
+from nikmop.precision import pivot_threshold, refine_tolerance, working
 
-from conftest import BASE, BITS, UP1, make_pair, monic_chebyshev_u
+from conftest import BASE, BITS, HI_BITS, UP1, make_pair, monic_chebyshev_u
 
 FLOOR = mp.mpf(10) ** -60
 
@@ -118,9 +119,9 @@ def test_moment_system_residual(pair11):
     flat = [c for block in sol.coeffs for c in block]
     with working(BITS):
         worst = mp.mpf(0)
-        for r in range(mat.rows):
-            num = mp.fsum(mat[r, c] * v for c, v in enumerate(flat))
-            den = mp.fsum(abs(mat[r, c] * v) for c, v in enumerate(flat))
+        for r in range(len(mat)):
+            num = mp.fsum(mat[r][c] * v for c, v in enumerate(flat))
+            den = mp.fsum(abs(mat[r][c] * v) for c, v in enumerate(flat))
             if den > 0:
                 worst = max(worst, abs(num) / den)
         assert worst < FLOOR
@@ -395,3 +396,108 @@ def test_normality_violation_names_precision():
     pair = make_pair((BASE, UP1), (BASE,), nodes=16, bits=64)
     with pytest.raises(NormalityViolation, match="precision"):
         solve_mop(pair, IndexPair((7, 6), (12,)))
+
+
+def mpf_solve_square(mat, rhs, rel_pivot_floor):
+    """Reference partial-pivot elimination in mpf at the ambient precision;
+    returns (solution, smallest pivot ratio), or (None, ratio) once a
+    pivot ratio falls below ``rel_pivot_floor``.  ``mat``/``rhs`` are lists
+    of lists / list of mpf, modified in place."""
+    n = len(rhs)
+    scale = max((abs(v) for row in mat for v in row), default=mp.mpf(0))
+    if scale == 0:
+        return None, mp.mpf(0)
+    min_ratio = mp.inf
+    for col in range(n):
+        piv_row = max(range(col, n), key=lambda r: abs(mat[r][col]))
+        piv = mat[piv_row][col]
+        ratio = abs(piv) / scale
+        min_ratio = min(min_ratio, ratio)
+        if ratio < rel_pivot_floor:
+            return None, min_ratio
+        if piv_row != col:
+            mat[col], mat[piv_row] = mat[piv_row], mat[col]
+            rhs[col], rhs[piv_row] = rhs[piv_row], rhs[col]
+        inv = 1 / mat[col][col]
+        for r in range(col + 1, n):
+            f = mat[r][col] * inv
+            if f == 0:
+                continue
+            for c in range(col, n):
+                mat[r][c] -= f * mat[col][c]
+            rhs[r] -= f * rhs[col]
+    sol = [mp.mpf(0)] * n
+    for r in range(n - 1, -1, -1):
+        acc = rhs[r]
+        for c in range(r + 1, n):
+            acc -= mat[r][c] * sol[c]
+        sol[r] = acc / mat[r][r]
+    return sol, min_ratio
+
+
+def mpf_solve_moments(mat, bits):
+    """The n x (n + 1) moment system ``mat`` solved by ``mpf_solve_square``
+    at ``bits``, with the last column moved to the right-hand side."""
+    n = len(mat)
+    with working(bits):
+        return mpf_solve_square(
+            [row[:n] for row in mat], [-row[n] for row in mat],
+            pivot_threshold(bits),
+        )
+
+
+def solve_error(sol, ref):
+    """max_c |sol_c - ref_c| / max_c |ref_c|, at four times the test bits."""
+    with working(4 * HI_BITS):
+        return max(abs(a - b) for a, b in zip(sol, ref)) / max(map(abs, ref))
+
+
+def test_fixed_solve_against_mpf_elimination(pair21):
+    # On every system of the lattice the fixed-point solve is at least as
+    # close to the mpf solve at 4x bits as the mpf solve at the working
+    # bits is, or within one unit of the working precision, and reports
+    # the same pivot ratio.
+    unit = mp.mpf(2) ** -BITS
+    for index in decreasing_indices(2, 1, 8):
+        mat = assemble_moment_system(pair21, index)
+        if not mat:
+            continue
+        ref, ref_ratio = mpf_solve_moments(mat, 4 * BITS)
+        plain, _ = mpf_solve_moments(mat, BITS)
+        with working(BITS):
+            got, ratio = mop._solve_fixed(mat, BITS)
+        assert solve_error(got, ref) <= max(solve_error(plain, ref), unit), index
+        assert float(ratio) == float(ref_ratio), index
+        assert solve_mop(pair21, index).pivot_ratio == float(ref_ratio), index
+
+
+def test_fixed_solve_equilibrates_columns(pair11_hi):
+    # Scaling a column by 2^-300 leaves the ints of the fixed-point solve
+    # unchanged, so its unknown comes back exactly 2^300 times larger and
+    # the rest exactly as before: the same relative accuracy.
+    mat = assemble_moment_system(pair11_hi, IndexPair((3, 2), (3, 1)))
+    scaled = [
+        [mp.ldexp(v, -300) if c == 1 else v for c, v in enumerate(row)]
+        for row in mat
+    ]
+    ref, _ = mpf_solve_moments(mat, 4 * HI_BITS)
+    plain, _ = mpf_solve_moments(mat, HI_BITS)
+    with working(HI_BITS):
+        got, _ = mop._solve_fixed(mat, HI_BITS)
+        got_scaled, _ = mop._solve_fixed(scaled, HI_BITS)
+    unit = mp.mpf(2) ** -HI_BITS
+    assert solve_error(got, ref) <= max(solve_error(plain, ref), unit)
+    back = [mp.ldexp(v, -300) if c == 1 else v for c, v in enumerate(got_scaled)]
+    assert back == got
+
+
+@pytest.mark.parametrize("zero_columns", [(2,), range(5)])
+def test_zero_column_raises(pair11, monkeypatch, zero_columns):
+    index = IndexPair((3, 2), (3, 1))
+    mat = [
+        [mp.mpf(0) if c in zero_columns else v for c, v in enumerate(row)]
+        for row in assemble_moment_system(pair11, index)
+    ]
+    monkeypatch.setattr(mop, "assemble_moment_system", lambda pair, idx: mat)
+    with pytest.raises(NormalityViolation, match="precision"):
+        solve_mop(pair11, index)
