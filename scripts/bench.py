@@ -1,20 +1,22 @@
 #!/usr/bin/env python3
 """Alternated before/after benchmark of the working tree against a commit.
 
-    python3 scripts/bench.py --out BENCH_N.json [--base REV]
-        [--seeds 201-210] [--workloads solve_lattice,ray_ratio]
-        [--seconds 28] [--scratch DIR]
+    python3 scripts/bench.py --out BENCH_N.json [--base REV] [--seeds 201-210]
 
 Exports ``--base`` (default HEAD) with ``git archive`` into a temporary
-directory.  For each seed, and each workload within it, runs
-``perfbench/run.py --trace 0`` once on that export and once on the
-working tree; which side runs first switches from one seed to the next,
-so drift of the machine over a run does not favour one side.  Writes the
-raw result lines of every run (the environment line and the metrics
-line), the seeds and both commits to ``--out``, with a summary per
-workload and end-to-end metric: the median of each side, the spread of
-the base runs (interquartile range over median) and the number of pairs
-in which the working tree was better.  Run from the root of a checkout.
+directory.  For each seed, and each workload of ``BENCHMARK.json``
+within it, runs ``perfbench/run.py --trace 0`` for the benchmark's
+``run_seconds`` once on that export and once on the working tree; which
+side runs first switches from one seed to the next, so drift of the
+machine over a run does not favour one side.  Writes the raw result
+lines of every run (the environment line and the metrics line), the
+seeds, the base commit and the working tree's HEAD and content hash to
+``--out``, with a summary per workload: the failed runs of each side
+and, per end-to-end metric over the seeds where both sides succeeded,
+the median of each side, the spread of the base runs (interquartile
+range over median) and the number of pairs in which the working tree
+was better.  Exits 1 when any run failed.  Run from the root of a
+checkout.
 """
 from __future__ import annotations
 
@@ -30,14 +32,28 @@ import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-WORKLOADS = ("lattice_zeros", "ray_ratio", "solve_lattice", "vector_equilibrium")
 SIDES = ("base", "change")
 
 
-def git(*args: str) -> str:
+def git(*args: str, env: dict | None = None) -> str:
     return subprocess.run(
-        ["git", *args], cwd=ROOT, check=True, capture_output=True, text=True
+        ["git", *args], cwd=ROOT, check=True, capture_output=True, text=True,
+        env=env,
     ).stdout.strip()
+
+
+def worktree_hash() -> str:
+    """Git tree hash of the working tree's content.
+
+    Covers tracked files and untracked ones that ``.gitignore`` does not
+    exclude, staged or not; on a clean checkout it equals ``HEAD^{tree}``.
+    Built in a throwaway index, so the real index is left alone.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        env = {**os.environ, "GIT_INDEX_FILE": os.path.join(tmp, "index")}
+        git("read-tree", "HEAD", env=env)
+        git("add", "--all", env=env)
+        return git("write-tree", env=env)
 
 
 def export(rev: str, dest: str) -> None:
@@ -76,6 +92,13 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
     return record
 
 
+def failed(record: dict) -> bool:
+    """A crash, a missing result line or a result ``run.py`` calls wrong."""
+    result = record["result"]
+    return (record["returncode"] != 0 or not result or not result["correct"]
+            or result["failed"] != 0)
+
+
 def quartile_spread(values: list) -> float:
     if len(values) < 2:
         return 0.0
@@ -84,19 +107,22 @@ def quartile_spread(values: list) -> float:
 
 
 def summarize(runs: list, better: dict) -> dict:
-    """Per workload and metric: medians, base spread, pairs won."""
+    """Per workload: failed runs per side; per metric over the seeds
+    where both sides succeeded: medians, base spread, pairs won."""
     out = {}
     for workload in sorted({r["workload"] for r in runs}):
+        mine = [r for r in runs if r["workload"] == workload]
+        failed_runs = {s: sum(r["side"] == s and failed(r) for r in mine)
+                       for s in SIDES}
         pairs = {}
-        for r in runs:
-            if r["workload"] == workload and r["result"]:
+        for r in mine:
+            if not failed(r):
                 pairs.setdefault(r["seed"], {})[r["side"]] = r["result"]
         pairs = [p for p in pairs.values() if len(p) == 2]
         table = {
             "pairs": len(pairs),
-            "all_correct": all(
-                p[s]["correct"] and p[s]["failed"] == 0 for p in pairs for s in SIDES
-            ),
+            "failed_runs": failed_runs,
+            "all_correct": bool(pairs) and not any(failed_runs.values()),
         }
         for name, direction in better.items():
             vals = {
@@ -125,27 +151,33 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, help="result JSON path")
     parser.add_argument("--base", default="HEAD", help="commit to compare against")
     parser.add_argument("--seeds", default="201-210")
-    parser.add_argument("--workloads", default=",".join(WORKLOADS))
-    parser.add_argument("--seconds", type=float, default=28)
-    parser.add_argument("--scratch", help="directory for the exported base tree")
     args = parser.parse_args(argv)
 
     seeds = parse_seeds(args.seeds)
-    workloads = args.workloads.split(",")
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        bench = json.load(fh)
+    workloads = [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    head_tree = git("rev-parse", "HEAD^{tree}")
+    tree = worktree_hash()
     meta = {
-        "base": {"rev": args.base, "commit": git("rev-parse", args.base)},
+        "base": {
+            "rev": args.base,
+            "commit": git("rev-parse", args.base),
+            "tree": git("rev-parse", f"{args.base}^{{tree}}"),
+        },
         "change": {
-            "commit": git("rev-parse", "HEAD"),
-            "uncommitted_changes": bool(git("status", "--porcelain")),
+            "head": git("rev-parse", "HEAD"),
+            "tree": tree,
+            "clean": tree == head_tree,
         },
         "seeds": seeds,
         "workloads": workloads,
-        "seconds": args.seconds,
+        "seconds": seconds,
         "started": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
-    scratch = tempfile.mkdtemp(prefix="bench-", dir=args.scratch)
+    scratch = tempfile.mkdtemp(prefix="bench-")
     runs = []
     try:
         export(args.base, scratch)
@@ -154,13 +186,14 @@ def main(argv=None) -> int:
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             for workload in workloads:
                 for position, side in enumerate(order):
-                    record = run_once(trees[side], workload, seed, args.seconds)
+                    record = run_once(trees[side], workload, seed, seconds)
                     record.update(side=side, workload=workload, seed=seed,
                                   position=position)
                     runs.append(record)
                     wall = (record["result"] or {}).get("metrics", {}).get("wall_s")
                     print(f"seed {seed} {workload} {side}: "
-                          f"wall_s {wall['value'] if wall else None}", flush=True)
+                          f"wall_s {wall['value'] if wall else None}"
+                          f"{' FAILED' if failed(record) else ''}", flush=True)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     meta["finished"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
