@@ -20,7 +20,6 @@ import os
 import random
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from mpmath import mp
@@ -282,9 +281,14 @@ class ExperimentConfig:
             out = []
             for i, sd in enumerate(data[key]):
                 try:
-                    out.append(WeightSpec.from_dict(sd))
+                    spec = WeightSpec.from_dict(sd)
                 except MeasureError as exc:
                     raise ConfigError(f"{key}[{i}]: {exc}") from exc
+                numbers = [*spec.interval, spec.alpha, spec.beta,
+                           *(v for pt in spec.mass_points for v in pt)]
+                if not all(v is None or math.isfinite(float(v)) for v in numbers):
+                    raise ConfigError(f"{key}[{i}]: spec numbers must be finite")
+                out.append(spec)
             try:
                 check_chain_hulls([spec.hull for spec in out])
             except MeasureError as exc:
@@ -454,20 +458,11 @@ def _check(name: str, passed: bool, **metrics) -> dict:
     return entry
 
 
-def _lattice_worker(payload) -> list:
-    """Solve a chunk of the index lattice in a fresh process; rebuilds
-    the systems from the serialized config so results are independent
-    of scheduling."""
-    cfg_dict, chunk = payload
-    return _lattice_rows(build_pair(ExperimentConfig.from_dict(cfg_dict)), chunk)
-
-
-def _lattice_rows(pair: NikishinPair, chunk) -> list:
-    """One CSV row per index of ``chunk``: solved, full degree and the
-    pivot ratio, or the normality failure."""
+def _lattice_rows(pair: NikishinPair, indices) -> list:
+    """One CSV row per index, in the given order: solved, full degree and
+    the pivot ratio, or the normality failure."""
     rows = []
-    for n1, n2 in chunk:
-        index = IndexPair(tuple(n1), tuple(n2))
+    for index in indices:
         try:
             sol = solve_cached(pair, index)
             full = all(
@@ -482,18 +477,10 @@ def _lattice_rows(pair: NikishinPair, chunk) -> list:
     return rows
 
 
-def run_mop(config: ExperimentConfig, pair: NikishinPair, threads: int) -> dict:
-    lattice = decreasing_indices(pair.m1, pair.m2, config.max_size)
-    items = [(list(i.n1), list(i.n2)) for i in lattice]
-    if threads > 1 and len(items) > 4:
-        chunks = [items[k::threads] for k in range(threads)]
-        cfg_dict = config.to_dict()
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_lattice_worker, [(cfg_dict, c) for c in chunks]))
-        rows = [r for part in parts for r in part]
-        rows.sort(key=lambda r: (sum(r[0]), r[0], r[1]))
-    else:
-        rows = _lattice_rows(pair, items)
+def run_mop(config: ExperimentConfig, pair: NikishinPair) -> dict:
+    rows = _lattice_rows(
+        pair, decreasing_indices(pair.m1, pair.m2, config.max_size)
+    )
     solved = all(r[2] for r in rows)
     full_degree = all(r[3] for r in rows if r[2])
     return {
@@ -513,7 +500,7 @@ def run_mop(config: ExperimentConfig, pair: NikishinPair, threads: int) -> dict:
     }
 
 
-def run_diagnostics(config: ExperimentConfig, pair: NikishinPair, threads: int) -> dict:
+def run_diagnostics(config: ExperimentConfig, pair: NikishinPair) -> dict:
     lattice = decreasing_indices(pair.m1, pair.m2, config.max_size)
     delta = sign_configuration(pair)
     zero_ok = True
@@ -584,7 +571,7 @@ def run_diagnostics(config: ExperimentConfig, pair: NikishinPair, threads: int) 
     }
 
 
-def run_equilibrium(config: ExperimentConfig, pair: NikishinPair, threads: int) -> dict:
+def run_equilibrium(config: ExperimentConfig, pair: NikishinPair) -> dict:
     sol = solve_config_equilibrium(config, pair, init="uniform")
     sol2 = solve_config_equilibrium(config, pair, init="random", seed=config.seed + 1)
     drift = 0.0
@@ -616,7 +603,7 @@ def run_equilibrium(config: ExperimentConfig, pair: NikishinPair, threads: int) 
     }
 
 
-def run_nth_root(config: ExperimentConfig, pair: NikishinPair, threads: int) -> dict:
+def run_nth_root(config: ExperimentConfig, pair: NikishinPair) -> dict:
     ray = ray_for(config, pair)
     eq = solve_config_equilibrium(config, pair)
     level = config.ray.get("level", 0)
@@ -636,7 +623,7 @@ def run_nth_root(config: ExperimentConfig, pair: NikishinPair, threads: int) -> 
     }
 
 
-def run_ratio(config: ExperimentConfig, pair: NikishinPair, threads: int) -> dict:
+def run_ratio(config: ExperimentConfig, pair: NikishinPair) -> dict:
     ray = ray_for(config, pair)
     m = period(pair.m1, pair.m2)
     steps = config.ray.get("steps", 6)
@@ -682,7 +669,7 @@ def run_ratio(config: ExperimentConfig, pair: NikishinPair, threads: int) -> dic
     }
 
 
-def run_hermite_pade(config: ExperimentConfig, pair: NikishinPair, threads: int) -> dict:
+def run_hermite_pade(config: ExperimentConfig, pair: NikishinPair) -> dict:
     if config.index is not None:
         index = IndexPair(*config.index)
     else:
@@ -756,7 +743,7 @@ def run_hermite_pade(config: ExperimentConfig, pair: NikishinPair, threads: int)
     }
 
 
-def run_biortho(config: ExperimentConfig, pair: NikishinPair, threads: int) -> dict:
+def run_biortho(config: ExperimentConfig, pair: NikishinPair) -> dict:
     result = biorthogonality_matrix(pair, config.n_max)
     tol = config.tolerance("defect")
     rows = []
@@ -856,10 +843,10 @@ def _write_outputs(out_dir: str, config: ExperimentConfig, result: dict, elapsed
     return summary
 
 
-def run(config: ExperimentConfig, out_dir: str, threads: int = 1) -> int:
+def run(config: ExperimentConfig, out_dir: str) -> int:
     start = time.monotonic()
     pair = build_pair(config)
-    result = RUNNERS[config.kind](config, pair, threads)
+    result = RUNNERS[config.kind](config, pair)
     summary = _write_outputs(out_dir, config, result, time.monotonic() - start)
     for c in summary["checks"]:
         status = "PASS" if c["passed"] else "FAIL"
@@ -875,7 +862,10 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--config", help="path to a JSON experiment config")
     parser.add_argument("--out", help=f"output directory (default ${OUT_ENV} or ./nikmop_out)")
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument(
+        "--threads", type=int, default=1,
+        help="accepted and ignored: every run is single-process",
+    )
     parser.add_argument("--precision", type=int, help="override precision_bits")
     parser.add_argument("--list-checks", action="store_true")
     args = parser.parse_args(argv)
@@ -914,7 +904,7 @@ def main(argv=None) -> int:
 
     out_dir = args.out or config.output_dir or os.environ.get(OUT_ENV) or "nikmop_out"
     try:
-        return run(config, out_dir, threads=max(args.threads, 1))
+        return run(config, out_dir)
     except (NormalityViolation, EquilibriumError, MeasureError,
             InterlacingIndeterminate, ZeroDivisionError,
             ArithmeticError) as exc:

@@ -51,6 +51,18 @@ def _as_mpf(value):
     return mp.mpf(str(value))
 
 
+def _number(value):
+    """A spec number (int, float, mpf or decimal string) as a float; None
+    for anything else, NaN included."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str, mp.mpf)):
+        return None
+    try:
+        out = float(value)
+    except ValueError:
+        return None
+    return None if math.isnan(out) else out
+
+
 def _exact(value):
     # the exact number a spec entry denotes, read as _as_mpf reads it
     if isinstance(value, mp.mpf):
@@ -87,17 +99,27 @@ class WeightSpec:
     def __post_init__(self):
         if self.family not in WEIGHT_FAMILIES:
             raise MeasureError(f"unknown weight family {self.family!r}")
-        if len(self.interval) != 2 or not float(self.interval[0]) < float(self.interval[1]):
+        ends = (
+            [_number(v) for v in self.interval]
+            if isinstance(self.interval, (tuple, list)) else []
+        )
+        if len(ends) != 2 or None in ends or not ends[0] < ends[1]:
             raise MeasureError(f"interval must be (a, b) with a < b, got {self.interval!r}")
         if self.sign not in (-1, 1):
             raise MeasureError(f"sign must be +1 or -1, got {self.sign!r}")
+        exps = [_number(v) for v in (self.alpha, self.beta) if v is not None]
+        if None in exps:
+            raise MeasureError(
+                f"alpha and beta must be numbers, got {self.alpha!r}, {self.beta!r}"
+            )
         if self.family == "jacobi":
-            if self.alpha is None or self.beta is None:
+            if len(exps) != 2:
                 raise MeasureError("jacobi weight needs alpha and beta")
-            if not (float(self.alpha) > -1 and float(self.beta) > -1):
+            if not min(exps) > -1:
                 raise MeasureError("jacobi exponents must exceed -1")
         for pt in self.mass_points:
-            if len(pt) != 2 or not float(pt[1]) > 0:
+            nums = [_number(v) for v in pt] if isinstance(pt, (tuple, list)) else []
+            if len(nums) != 2 or None in nums or not nums[1] > 0:
                 raise MeasureError(f"mass point must be (location, mass > 0), got {pt!r}")
         object.__setattr__(self, "interval", tuple(self.interval))
         object.__setattr__(
@@ -283,6 +305,32 @@ def _fixed(values, guard: int):
     return [man << (exp - base) for man, exp in parts], base
 
 
+def exact_parts(z) -> tuple:
+    """A real or complex z as ints and one exponent, exactly: ([m], e) or
+    ([re, im], e) with z = m 2^e, e the finer exponent of the nonzero
+    parts (0 when z is zero)."""
+    if not isinstance(z, (mp.mpf, mp.mpc)):
+        z = mp.mpmathify(z)
+    parts = (z._mpf_,) if isinstance(z, mp.mpf) else z._mpc_
+    mans = []
+    exps = []
+    for sign, man, exp, _ in parts:
+        if not man and exp:
+            raise ValueError(f"fixed-point sums need a finite z, got {z}")
+        mans.append(-man if sign else man)
+        exps.append(exp)
+    exp = min(e for m, e in zip(mans, exps) if m) if any(mans) else 0
+    return [m << (e - exp) if m else 0 for m, e in zip(mans, exps)], exp
+
+
+def to_mp(man, exp):
+    """man 2^exp rounded once to the ambient precision: an mpf for an int
+    man, an mpc for an (re, im) pair."""
+    if isinstance(man, int):
+        return mp.mpf((man, exp))
+    return mp.mpc(mp.mpf((man[0], exp)), mp.mpf((man[1], exp)))
+
+
 class CauchyKernel:
     """The discrete Cauchy sum  S(z) = sum_i w_i / (z - x_i)  and its slope
     S'(z) = -sum_i w_i / (z - x_i)^2, in Python-int fixed point.
@@ -290,7 +338,7 @@ class CauchyKernel:
     Weights and points are stored exactly as ints, each at one common
     exponent; the points carry ``CAUCHY_GUARD_BITS`` extra zero bits so
     that most z convert exactly.  Every distance z - x_i carries a relative
-    error of at most 2^-(bits+guard) (see ``_setup``).  Each term is one
+    error of at most 2^-(bits+guard) (see ``place``).  Each term is one
     floor division at an output scale chosen from Sum |w| and the nearest
     and farthest distance, so the truncation of all terms together stays
     within 2^-(bits+guard) Sum |w/(z-x)|; the slope divides each term once
@@ -303,6 +351,8 @@ class CauchyKernel:
     and the same for the slope, within the 2^-bits Sum |w/(z-x)| that a
     sum of terms rounded to ``bits`` meets.  A complex z runs the same
     loop with conj(d)/|d|^2.  A z on a point raises ZeroDivisionError.
+    ``place`` and ``sums`` expose the exact int sums, so that kernels over
+    one set of points can share a placement of z.
     """
 
     __slots__ = ("bits", "_w", "_w_exp", "_w_bits", "_x", "_x_exp",
@@ -320,34 +370,19 @@ class CauchyKernel:
         self._hi = max(self._x)
         self._n_bits = len(self._x).bit_length()
 
-    def _setup(self, z):
-        """z and the points as ints on one grid, with the numerator shift
-        s and the slope shift k.
+    def place(self, parts) -> tuple:
+        """z, given as its ``exact_parts``, and the points as ints on one
+        grid: (xs, zs, grid, near_bits, far_bits), z = zs * 2^grid with zs
+        one int for real z and two for complex z.  Kernels over the same
+        points accept each other's placements.
 
         The grid starts as the points' own.  A z finer than that is
         rounded onto it, and the grid is refined until z lies at least
         2^(bits+guard+1) grid units from every point, or z converts
-        exactly.  Then, in grid units, 2^near <= min |z - x| and
-        max |z - x| < 2^far, and Sum |w| >= 2^_w_bits in weight units, so
-        Sum |w/(z-x)| >= 2^(_w_bits - far) and Sum |w/(z-x)^2| >=
-        2^(_w_bits - 2 far).  A term floor(w 2^s / d) is off by less than one
-        unit (two for complex z), and a slope term floor(t 2^k / d) with
-        k = near by less than two (four), so 2^s >= n 2^(bits+guard+2 +
-        2 far - near - _w_bits) keeps both sums within 2^-(bits+guard) of
-        their sums of magnitudes.
+        exactly.  Then, in grid units, 2^near_bits <= min |z - x| and
+        max |z - x| < 2^far_bits.
         """
-        if not isinstance(z, (mp.mpf, mp.mpc)):
-            z = mp.mpmathify(z)
-        parts = (z._mpf_,) if isinstance(z, mp.mpf) else z._mpc_
-        mans = []
-        exps = []
-        for sign, man, exp, _ in parts:
-            if not man and exp:
-                raise ValueError(f"Cauchy sums need a finite z, got {z}")
-            mans.append(-man if sign else man)
-            exps.append(exp)
-        exp = min(e for m, e in zip(mans, exps) if m) if any(mans) else 0
-        mans = [m << (e - exp) if m else 0 for m, e in zip(mans, exps)]
+        mans, exp = parts
         complex_z = len(mans) == 2
         grid = self._x_exp
         xs, lo, hi = self._x, self._lo, self._hi
@@ -387,47 +422,38 @@ class CauchyKernel:
                 continue
             if near_bits < 0:
                 raise ZeroDivisionError("z lies on a point of the Cauchy sum")
-            guard = target + self._n_bits + 2
-            s = max(0, 2 * far_bits - near_bits - self._w_bits + guard)
-            return xs, zs, grid, s, near_bits
+            return xs, zs, grid, near_bits, far_bits
 
-    def value(self, z):
-        """S(z) at the ambient precision: an mpf for real z, an mpc for
-        complex z."""
-        xs, zs, grid, s, _ = self._setup(z)
+    def sums(self, placed, slope: bool = False) -> tuple:
+        """S(z), and with ``slope`` also S'(z), at a ``place``d z as exact
+        ints: ((acc, out),) or ((acc, out), (acc_s, out_s)) with
+        S(z) ~ acc 2^out and S'(z) ~ acc_s 2^out_s, each acc one int for
+        real z and an (re, im) pair for complex z.
+
+        With Sum |w| >= 2^_w_bits in weight units, Sum |w/(z-x)| >=
+        2^(_w_bits - far) and Sum |w/(z-x)^2| >= 2^(_w_bits - 2 far).  A
+        term floor(w 2^s / d) is off by less than one unit (two for
+        complex z), and a slope term floor(t 2^k / d) with k = near by less
+        than two (four), so 2^s >= n 2^(bits+guard+2 + 2 far - near -
+        _w_bits) keeps both sums within 2^-(bits+guard) of their sums of
+        magnitudes.
+        """
+        xs, zs, grid, k, far_bits = placed
+        guard = self.bits + CAUCHY_GUARD_BITS + self._n_bits + 2
+        s = max(0, 2 * far_bits - k - self._w_bits + guard)
         out = self._w_exp - grid - s
         ws = self._w
         if len(zs) == 1:
             zr = zs[0]
-            acc = sum((w << s) // (zr - x) for w, x in zip(ws, xs))
-            return mp.mpf((acc, out))
-        zr, zi = zs
-        im2 = zi * zi
-        acc_r = acc_i = 0
-        for w, x in zip(ws, xs):
-            dr = zr - x
-            norm = dr * dr + im2
-            w = w << s
-            acc_r += w * dr // norm
-            acc_i += w * -zi // norm
-        return mp.mpc(mp.mpf((acc_r, out)), mp.mpf((acc_i, out)))
-
-    def value_and_slope(self, z):
-        """S(z) and S'(z) from one pass over the points; S(z) is the same
-        number ``value`` returns."""
-        xs, zs, grid, s, k = self._setup(z)
-        out = self._w_exp - grid - s
-        out_slope = out - grid - k
-        ws = self._w
-        if len(zs) == 1:
-            zr = zs[0]
+            if not slope:
+                return ((sum((w << s) // (zr - x) for w, x in zip(ws, xs)), out),)
             acc = acc_s = 0
             for w, x in zip(ws, xs):
                 d = zr - x
                 t = (w << s) // d
                 acc += t
                 acc_s += (t << k) // d
-            return mp.mpf((acc, out)), -mp.mpf((acc_s, out_slope))
+            return (acc, out), (-acc_s, out - grid - k)
         zr, zi = zs
         im2 = zi * zi
         acc_r = acc_i = slope_r = slope_i = 0
@@ -439,11 +465,23 @@ class CauchyKernel:
             ti = w * -zi // norm
             acc_r += tr
             acc_i += ti
-            slope_r += ((tr * dr + ti * zi) << k) // norm
-            slope_i += ((ti * dr - tr * zi) << k) // norm
-        value = mp.mpc(mp.mpf((acc_r, out)), mp.mpf((acc_i, out)))
-        slope = mp.mpc(mp.mpf((slope_r, out_slope)), mp.mpf((slope_i, out_slope)))
-        return value, -slope
+            if slope:
+                slope_r += ((tr * dr + ti * zi) << k) // norm
+                slope_i += ((ti * dr - tr * zi) << k) // norm
+        if not slope:
+            return (((acc_r, acc_i), out),)
+        return ((acc_r, acc_i), out), ((-slope_r, -slope_i), out - grid - k)
+
+    def value(self, z):
+        """S(z) at the ambient precision: an mpf for real z, an mpc for
+        complex z."""
+        return to_mp(*self.sums(self.place(exact_parts(z)))[0])
+
+    def value_and_slope(self, z):
+        """S(z) and S'(z) from one pass over the points; S(z) is the same
+        number ``value`` returns."""
+        value, slope = self.sums(self.place(exact_parts(z)), slope=True)
+        return to_mp(*value), to_mp(*slope)
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,7 +15,9 @@ j = -m2, ..., m1 (with Q at both outer boundaries identically one).
 """
 from __future__ import annotations
 
+import bisect
 import functools
+import heapq
 from dataclasses import dataclass, field
 
 from mpmath import mp
@@ -25,14 +27,12 @@ from .measures import (
     DiscretizedMeasure,
     MeasureError,
     NikishinSystem,
+    _fixed,
     _to_fixed,
+    exact_parts,
+    to_mp,
 )
-from .polys import (
-    poly_eval,
-    poly_eval_and_slope,
-    poly_eval_from_roots,
-    poly_from_roots,
-)
+from .polys import poly_from_roots
 from .precision import pivot_threshold, refine_tolerance, working
 
 
@@ -321,6 +321,173 @@ def _solve_fixed(mat: list, bits: int) -> tuple:
     ], min_ratio
 
 
+#: Fraction bits kept beyond the working precision in form evaluations
+#: and scan grids.
+FORM_GUARD_BITS = 64
+
+
+class _Block:
+    """One polynomial block of a form: coefficients c_i = cs[i] 2^exp as
+    exact ints, and per magnitude class of z the Horner unit 2^E with the
+    coefficients floored to it, highest power first.
+
+    With 2^zlo <= |z| < 2^(zlo+2) and 2^tops[i] <= |c_i|, 2^M <=
+    Sum |c_i z^i| and 2^M' <= Sum i |c_i z^(i-1)|.  A Horner pass at a
+    unit 2^E floors each product and each coefficient once, so the value
+    carries less than 3 (d+1) max(1, |z|)^d units and the slope less than
+    3 (d+1)^2 max(1, |z|)^d; E is set to put both below 2^-frac times
+    their sums of magnitudes.  At z = 0 the unit is 2^exp and p(0), p'(0)
+    are c_0, c_1 exactly.
+    """
+
+    __slots__ = ("cs", "tops", "exp", "frac", "_units")
+
+    def __init__(self, cs, exp: int, frac: int):
+        self.cs = cs
+        self.exp = exp
+        self.frac = frac
+        self.tops = [abs(c).bit_length() - 1 + exp if c else None for c in cs]
+        self._units = {}
+
+    def at(self, zlo):
+        """(E, coefficients at 2^E, highest first) for |z| in
+        [2^zlo, 2^(zlo+2)), or for z = 0 when ``zlo`` is None."""
+        if zlo not in self._units:
+            unit = self.exp
+            if zlo is not None:
+                d = len(self.cs) - 1
+                terms = [(i, t) for i, t in enumerate(self.tops) if t is not None]
+                low = max(t + i * zlo for i, t in terms)
+                if d:
+                    low = min(low, max(t + (i - 1) * zlo for i, t in terms if i))
+                unit = min(unit, low - self.frac - 2 - 2 * (d + 1).bit_length()
+                           - d * max(0, zlo + 2))
+            shift = self.exp - unit
+            cs = [c << shift if shift >= 0 else c >> -shift
+                  for c in reversed(self.cs)]
+            self._units[zlo] = (unit, cs)
+        return self._units[zlo]
+
+
+def _horner(cs, zs, sh: int, slope: bool):
+    """p(z), and p'(z) with ``slope`` (else None), in units of the
+    coefficients ``cs`` (highest power first) for z = zs 2^-sh, zs one int
+    or an (re, im) pair; each product floored once."""
+    if len(zs) == 1:
+        (z,) = zs
+        acc = ds = 0
+        if not slope:
+            for c in cs:
+                acc = ((acc * z) >> sh) + c
+            return acc, None
+        for c in cs:
+            ds = ((ds * z) >> sh) + acc
+            acc = ((acc * z) >> sh) + c
+        return acc, ds
+    zr, zi = zs
+    ar = ai = sr = si = 0
+    for c in cs:
+        if slope:
+            sr, si = ((sr * zr - si * zi) >> sh) + ar, ((sr * zi + si * zr) >> sh) + ai
+        ar, ai = ((ar * zr - ai * zi) >> sh) + c, (ar * zi + ai * zr) >> sh
+    return (ar, ai), (sr, si) if slope else None
+
+
+def _mul(a, b):
+    """Exact product of two ints or of two (re, im) pairs."""
+    if isinstance(a, int):
+        return a * b
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _exact_sum(parts, complex_z: bool):
+    """Sum of the (man, exp) pairs, mans all ints or all (re, im) pairs,
+    exactly, rounded once to the ambient precision."""
+    if not parts:
+        return mp.mpc(0) if complex_z else mp.mpf(0)
+    low = min(e for _, e in parts)
+    if complex_z:
+        return to_mp((sum(m[0] << (e - low) for m, e in parts),
+                      sum(m[1] << (e - low) for m, e in parts)), low)
+    return to_mp(sum(m << (e - low) for m, e in parts), low)
+
+
+class FormKernel:
+    """The form  A(z) = sum_k p_k(z) S_k(z)  and its slope, in Python-int
+    fixed point: polynomial blocks p_k times Cauchy sums S_k over one set
+    of points (S_k = 1 for a bare block).
+
+    The coefficients of all blocks are held exactly as ints at one
+    exponent.  z is read once to ``bits + FORM_GUARD_BITS`` bits relative
+    to |z| for Horner (``_Block``) and placed once on the points' grid
+    for every S_k (``CauchyKernel.place``).  Each block and its slope come
+    within (2d+2) 2^-(bits+guard) of their sums of magnitudes Sum |c_i z^i|
+    and Sum i |c_i z^(i-1)|; each S_k within 2^-(bits+38) of Sum |w/(z-x)|
+    (and its slope of Sum |w/(z-x)^2|).  The products p_k S_k and their
+    sum are exact ints, rounded once to the ambient precision p, so
+
+        |value - A(z)| <= 2^-p |A(z)| + 2^-(bits+36) Sigma,
+
+    Sigma = sum_k Sum |c_i z^i| Sum |w/(z-x)|, the sum of the magnitudes
+    of the terms of A(z); the slope meets the same bound against the sum
+    of the magnitudes of the terms of A'(z).  A complex z gives an mpc.
+    """
+
+    __slots__ = ("bits", "_terms", "_place")
+
+    def __init__(self, terms, bits: int):
+        """``terms``: (coefficients ascending, CauchyKernel or None) per
+        block; blocks without coefficients are dropped."""
+        self.bits = bits
+        terms = [(tuple(cs), kernel) for cs, kernel in terms if cs]
+        ints, exp = _fixed([c for cs, _ in terms for c in cs], 0)
+        self._terms = []
+        pos = 0
+        for cs, kernel in terms:
+            block = _Block(ints[pos : pos + len(cs)], exp, bits + FORM_GUARD_BITS)
+            pos += len(cs)
+            self._terms.append((block, kernel))
+        kernels = [kernel for _, kernel in terms if kernel is not None]
+        self._place = kernels[0].place if kernels else None
+
+    def __call__(self, z, slope: bool = False):
+        """A(z) at the ambient precision, or (A(z), A'(z)) with ``slope``."""
+        parts = exact_parts(z)
+        placed = self._place(parts) if self._place is not None else None
+        zs, g = parts
+        top = max(abs(v) for v in zs).bit_length()
+        # |z| lies in [2^zlo, 2^(zlo+2)).
+        zlo = top - 1 + g if top else None
+        cut = top - self.bits - FORM_GUARD_BITS
+        if cut > 0:
+            zs = [(v + (1 << (cut - 1))) >> cut for v in zs]
+            g += cut
+        if g > 0:
+            zs = [v << g for v in zs]
+            g = 0
+        vals = []
+        slopes = []
+        for block, kernel in self._terms:
+            e, cs = block.at(zlo)
+            p, dp = _horner(cs, zs, -g, slope)
+            if kernel is None:
+                vals.append((p, e))
+                if slope:
+                    slopes.append((dp, e))
+                continue
+            sums = kernel.sums(placed, slope)
+            s, out = sums[0]
+            vals.append((_mul(p, s), e + out))
+            if slope:
+                ds, out_s = sums[1]
+                slopes.append((_mul(dp, s), e + out))
+                slopes.append((_mul(p, ds), e + out_s))
+        complex_z = len(zs) == 2
+        if not slope:
+            return _exact_sum(vals, complex_z)
+        return _exact_sum(vals, complex_z), _exact_sum(slopes, complex_z)
+
+
 @dataclass(eq=False)
 class MopSolution:
     """Solved coefficient blocks plus cached form evaluations.
@@ -343,86 +510,86 @@ class MopSolution:
 
     def a(self, j: int, z):
         """Polynomial block a_j at z."""
-        return poly_eval(self.coeffs[j], z)
+        key = ("block", j)
+        if key not in self._cache:
+            self._cache[key] = FormKernel(
+                [(self.coeffs[j], None)], self.precision_bits
+            )
+        with working(self.precision_bits):
+            return self._cache[key](z)
 
     def form(self, j: int, z):
         """The form A_j at z, for j = -m2-1, ..., m1.
 
         Nonnegative j: sum_{k=j}^{m1} a_k(z) shat1_{j+1,k}(z) with the k = j
         term the bare polynomial.  Negative j: iterated Cauchy transform of
-        A_0 through the second system's generators.
+        A_0 through the second system's generators.  Evaluated by the
+        level's ``FormKernel``.
         """
-        m1, m2 = self.index.m1, self.index.m2
-        if j > m1 or j < -m2 - 1:
-            raise IndexError(f"form index {j} out of range")
+        kernel = self._form_kernel(j)
         with working(self.precision_bits):
-            if j >= 0:
-                acc = self.a(j, z) if self.index.n1[j] else mp.mpf(0)
-                for k in range(j + 1, m1 + 1):
-                    if self.index.n1[k]:
-                        acc += self.a(k, z) * self.pair.s1.s_hat(j + 1, k, z)
-                return acc
-            return self._chain_kernel(-j - 1).value(z)
+            return kernel(z)
 
     def form_and_slope(self, j: int, z):
-        """``form(j, z)`` and its derivative in z, in one pass.
+        """``form(j, z)`` and its derivative in z, in one pass of the
+        level's ``FormKernel``; the value is the number ``form`` returns."""
+        kernel = self._form_kernel(j)
+        with working(self.precision_bits):
+            return kernel(z, slope=True)
 
-        Polynomial blocks carry their derivative through Horner, each
-        chained transform its slope -sum w / (z - x)^2, and a negative level
-        sums -sum w v / (z - x)^2 over the cached products w v.  The value
-        is computed exactly as ``form`` computes it.
-        """
+    def _form_kernel(self, j: int) -> FormKernel:
+        """The int kernel of A_j: the blocks a_k, k >= j, times the
+        transforms shat1_{j+1,k} for j >= 0; for j < 0 the Cauchy sum over
+        the point masses of the second system's generator -j-1 times the
+        values of A_{j+1} on its support."""
         m1, m2 = self.index.m1, self.index.m2
         if j > m1 or j < -m2 - 1:
             raise IndexError(f"form index {j} out of range")
-        with working(self.precision_bits):
-            if j < 0:
-                return self._chain_kernel(-j - 1).value_and_slope(z)
-            val, slope = poly_eval_and_slope(self.coeffs[j], z)
-            for k in range(j + 1, m1 + 1):
-                if self.index.n1[k]:
-                    p, dp = poly_eval_and_slope(self.coeffs[k], z)
-                    s, ds = self.pair.s1.s_hat_and_slope(j + 1, k, z)
-                    val += p * s
-                    slope += dp * s + p * ds
-            return val, slope
-
-    def _chain_kernel(self, t: int) -> CauchyKernel:
-        """Cauchy sum over the point masses w v of the second system's
-        generator t times the values v of A_{-t} on its support."""
-        key = ("kernel", t)
+        key = ("form", j)
         if key not in self._cache:
-            src = self.pair.s2.generators[t]
-            chain = self._neg_chain(t)
-            with working(self.precision_bits):
-                self._cache[key] = CauchyKernel(
-                    tuple(w * v for w, v in zip(src.signed_weights, chain)),
-                    src.support_points,
-                    self.precision_bits,
-                )
+            if j >= 0:
+                s1 = self.pair.s1
+                terms = [(self.coeffs[j], None)] + [
+                    (self.coeffs[k], s1.kernel(j + 1, k))
+                    for k in range(j + 1, m1 + 1)
+                    if self.coeffs[k]
+                ]
+            else:
+                t = -j - 1
+                src = self.pair.s2.generators[t]
+                with working(self.precision_bits):
+                    weights = tuple(
+                        w * v
+                        for w, v in zip(src.signed_weights, self._neg_chain(t))
+                    )
+                terms = [
+                    ((mp.mpf(1),), CauchyKernel(
+                        weights, src.support_points, self.precision_bits
+                    ))
+                ]
+            self._cache[key] = FormKernel(terms, self.precision_bits)
         return self._cache[key]
 
     def _neg_chain(self, t: int) -> tuple:
         """Values of A_{-t} on the support of the second system's generator
-        t (A_0 on the base for t = 0)."""
+        t (A_0 on the base for t = 0, from the blocks and the cached
+        densities shat1_{1,k} there)."""
         key = ("chain", t)
-        if key in self._cache:
-            return self._cache[key]
-        with working(self.precision_bits):
-            if t == 0:
-                base = self.pair.base
-                vals = []
-                for p, x in enumerate(base.support_points):
-                    acc = mp.mpf(0)
-                    for k in range(self.index.m1 + 1):
-                        if self.index.n1[k]:
-                            acc += self.a(k, x) * self.pair.base_density1(k)[p]
-                    vals.append(acc)
-            else:
-                kernel = self._chain_kernel(t - 1)
-                dst = self.pair.s2.generators[t]
-                vals = [kernel.value(y) for y in dst.support_points]
-        self._cache[key] = tuple(vals)
+        if key not in self._cache:
+            points = self.pair.s2.generators[t].support_points
+            with working(self.precision_bits):
+                if t == 0:
+                    vals = []
+                    for p, x in enumerate(points):
+                        acc = mp.mpf(0)
+                        for k in range(self.index.m1 + 1):
+                            if self.coeffs[k]:
+                                acc += self.a(k, x) * self.pair.base_density1(k)[p]
+                        vals.append(acc)
+                else:
+                    kernel = self._form_kernel(-t)
+                    vals = [kernel(y) for y in points]
+            self._cache[key] = tuple(vals)
         return self._cache[key]
 
     def form_on_support(self, j: int) -> tuple:
@@ -505,8 +672,54 @@ class ZeroSet:
     expected: int
 
     def poly_eval(self, z):
-        """Monic polynomial with these zeros, evaluated in product form."""
-        return poly_eval_from_roots(self.zeros, z)
+        """Monic polynomial with these zeros at a real or complex z.
+
+        The zeros and z are put on one grid, exactly, so every factor
+        z - r is an exact int (0 on a zero).  The running product keeps
+        p + FORM_GUARD_BITS significant bits, p the ambient precision:
+        each of the n products is floored once, at a relative error below
+        2^-(p+guard-1), and the result is rounded once to p bits, so
+
+            |value - Q(z)| <= (2^-p + n 2^-(p+guard-2)) |Q(z)|.
+
+        An exact product would grow to n times the width of a zero, which
+        costs more than the mpf product it replaces from about 20 zeros on.
+        """
+        if not self.zeros:
+            return mp.mpf(1)
+        roots, exp = self._fixed_zeros
+        zs, z_exp = exact_parts(z)
+        if z_exp < exp:
+            roots = [r << (exp - z_exp) for r in roots]
+            exp = z_exp
+        zs = [v << (z_exp - exp) for v in zs]
+        keep = mp.prec + FORM_GUARD_BITS
+        out = exp * len(roots)
+        if len(zs) == 1:
+            (zr,) = zs
+            acc = 1
+            for r in roots:
+                acc *= zr - r
+                cut = acc.bit_length() - keep
+                if cut > 0:
+                    acc >>= cut
+                    out += cut
+            return to_mp(acc, out)
+        zr, zi = zs
+        re, im = 1, 0
+        for r in roots:
+            dr = zr - r
+            re, im = re * dr - im * zi, re * zi + im * dr
+            cut = max(abs(re), abs(im)).bit_length() - keep
+            if cut > 0:
+                re >>= cut
+                im >>= cut
+                out += cut
+        return to_mp((re, im), out)
+
+    @functools.cached_property
+    def _fixed_zeros(self) -> tuple:
+        return _fixed(self.zeros, 0)
 
     def poly_coeffs(self) -> tuple:
         return poly_from_roots(self.zeros)
@@ -557,6 +770,43 @@ def _safeguarded_newton(fdf, a, b, fa, fb, rel_tol):
             return x
 
 
+def _scan_grid(lo, hi, size: int, bits: int) -> list:
+    """The Chebyshev points mid + rad cos((2i - 1) pi / (2 size)),
+    i = size, ..., 1 (ascending), of the hull [lo, hi].
+
+    One mp.cos gives c = cos(theta), theta = pi / (2 size); the odd
+    multiples follow from c_{k+2} = 2 cos(2 theta) c_k - c_{k-2}, with
+    c_{-1} = c_1, in ints at frac = bits + FORM_GUARD_BITS fraction bits.
+    A unit error in a step grows at most like k units over the remaining
+    steps, so every cosine comes within 3 size^2 2^-frac of its value.
+    Each point is then mid + rad c exactly in ints, rounded once to the
+    ambient precision.
+    """
+    frac = bits + FORM_GUARD_BITS
+    with working(frac + 8):
+        c1 = _to_fixed(mp.cos(mp.pi / (2 * size)), frac)
+    two_c2 = 2 * (((2 * c1 * c1) >> frac) - (1 << frac))
+    cosines = [c1]
+    prev, cur = c1, c1
+    for _ in range(size - 1):
+        prev, cur = cur, ((two_c2 * cur) >> frac) - prev
+        cosines.append(cur)
+    (lo_i, hi_i), exp = _fixed((lo, hi), 0)
+    mid = (lo_i + hi_i) << frac
+    rad = hi_i - lo_i
+    out = exp - 1 - frac
+    return [mp.mpf((mid + rad * c, out)) for c in reversed(cosines)]
+
+
+def _merge_sorted(a: list, b: list) -> list:
+    """The union of two ascending lists, ascending, without repeats."""
+    out = []
+    for x in heapq.merge(a, b):
+        if not out or x != out[-1]:
+            out.append(x)
+    return out
+
+
 def _atom_scan_points(measure, lo, hi, rel_tol):
     """Geometric ladders of scan points closing in on each mass point.
 
@@ -582,9 +832,11 @@ def _atom_scan_points(measure, lo, hi, rel_tol):
 def extract_Q(solution: MopSolution, j: int) -> ZeroSet:
     """Locate the zeros of the form A_j inside the hull of the unified
     measure j by a sign scan on a Chebyshev-distributed grid (16x the
-    predicted count, doubled on shortfall up to 4096 points).  When the
-    measure carries mass points the grid is topped up with ladders from
-    _atom_scan_points.
+    predicted count, doubled on shortfall up to 4096 points), built in
+    ints from one mp.cos (``_scan_grid``).  When the measure carries mass
+    points the sorted ladders from _atom_scan_points are merged into the
+    grid.  Every scan value comes from ``MopSolution.form``, that is from
+    the level's ``FormKernel``.
 
     Each sign bracket is refined by a safeguarded Newton iteration on
     ``MopSolution.form_and_slope`` (_safeguarded_newton): Newton steps that
@@ -614,17 +866,14 @@ def extract_Q(solution: MopSolution, j: int) -> ZeroSet:
         return solution.form_and_slope(j, x)
 
     with working(bits):
-        mid = (lo + hi) / 2
-        rad = (hi - lo) / 2
-        ladder = _atom_scan_points(solution.pair.measure(j), lo, hi, rel_tol)
+        ladder = sorted(
+            _atom_scan_points(solution.pair.measure(j), lo, hi, rel_tol)
+        )
         grid_size = min(SCAN_GRID_FACTOR * expected, SCAN_GRID_CAP)
         while True:
-            xs = [
-                mid + rad * mp.cos(mp.pi * (2 * i - 1) / (2 * grid_size))
-                for i in range(grid_size, 0, -1)
-            ]
+            xs = _scan_grid(lo, hi, grid_size, bits)
             if ladder:
-                xs = sorted(set(xs) | set(ladder))
+                xs = _merge_sorted(xs, ladder)
             vals = [f(x) for x in xs]
             zeros = []
             brackets = []
@@ -681,9 +930,26 @@ class VaryingData:
     epsilon: dict
 
 
+def _gap_to(zeros: tuple, x):
+    """Distance from x to the nearest of the ascending ``zeros`` (one when
+    there are none), from the two zeros that bracket x."""
+    if not zeros:
+        return mp.mpf(1)
+    i = bisect.bisect_left(zeros, x)
+    return min(abs(x - r) for r in zeros[max(i - 1, 0) : i + 1])
+
+
 def compute_varying_data(solution: MopSolution, zero_sets: dict) -> VaryingData:
     """Constants K, kappa, epsilon from the extracted zero sets (one
-    ZeroSet per j in [-m2, m1])."""
+    ZeroSet per j in [-m2, m1]).
+
+    K[j] sums |w| |Q_j A_j / Q_{j-1}| over the support of the unified
+    measure j, with A_j from ``form_on_support`` and each Q from the
+    fixed-point product ``ZeroSet.poly_eval``.  epsilon[j] is read at the
+    support point farthest from the zeros of Q_j, each point's distance
+    taken to the two zeros that bracket it (a bisection of the ascending
+    zeros, ``_gap_to``).
+    """
     index = solution.index
     pair = solution.pair
     bits = solution.precision_bits
@@ -711,10 +977,7 @@ def compute_varying_data(solution: MopSolution, zero_sets: dict) -> VaryingData:
             q_lo = zero_sets.get(j - 1)
             pts = meas.support_points
             ref_pos = max(
-                range(len(pts)),
-                key=lambda i: min(
-                    (abs(pts[i] - r) for r in q_here.zeros), default=mp.mpf(1)
-                ),
+                range(len(pts)), key=lambda i: _gap_to(q_here.zeros, pts[i])
             )
             ref = pts[ref_pos]
             av = solution.form_on_support(j)[ref_pos]

@@ -1,8 +1,17 @@
+import contextlib
+import csv
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nikmop import cli
+from nikmop.measures import WEIGHT_FAMILIES
+from nikmop.mop import decreasing_indices
 from nikmop.cli import (
     CHECK_NAMES,
     ConfigError,
@@ -264,6 +273,27 @@ def test_main_out_of_range_field_exits_two(tmp_path, capsys, over, message):
 
 
 @pytest.mark.parametrize(
+    "upper, message",
+    [
+        ({"interval": {"family": None}}, "interval must be (a, b)"),
+        ({"interval": [2, "x"]}, "interval must be (a, b)"),
+        ({"interval": [2, float("nan")]}, "interval must be (a, b)"),
+        ({"alpha": []}, "alpha and beta must be numbers"),
+        ({"mass_points": [[4, "x"]]}, "mass point must be"),
+        ({"interval": [2, float("inf")]}, "spec numbers must be finite"),
+        ({"interval": [2, "1e400"]}, "spec numbers must be finite"),
+        ({"mass_points": [[float("inf"), 1]]}, "spec numbers must be finite"),
+        ({"mass_points": [[4, float("inf")]]}, "spec numbers must be finite"),
+    ],
+)
+def test_main_bad_spec_number_exits_two(tmp_path, capsys, upper, message):
+    data = config_dict(system1=[BASE_SPEC, {**UP_SPEC, **upper}])
+    path = write_config(tmp_path, data)
+    assert main(["--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "upper",
     [
         {"family": "legendre", "interval": [0.5, 3]},
@@ -390,3 +420,97 @@ def test_numeric_failure_exits_three(tmp_path, capsys):
     record = json.loads((out_dir / "error.json").read_text())
     assert record["error"] == "ZeroDivisionError"
     assert "message" in record
+
+
+def test_lattice_csv_lists_rows_in_lattice_order(tmp_path):
+    # --threads is accepted and ignored, so both runs write the same file,
+    # one row per index in decreasing_indices order.
+    path = write_config(tmp_path, config_dict(max_size=5))
+    outs = []
+    for threads in ("1", "2"):
+        out_dir = tmp_path / f"out{threads}"
+        assert main(["--config", path, "--out", str(out_dir),
+                     "--threads", threads]) == 0
+        outs.append((out_dir / "metrics" / "lattice.csv").read_bytes())
+    assert outs[0] == outs[1]
+    rows = list(csv.reader(io.StringIO(outs[0].decode())))[1:]
+    want = [(list(i.n1), list(i.n2)) for i in decreasing_indices(1, 1, 5)]
+    assert [(json.loads(r[0]), json.loads(r[1])) for r in rows] == want
+
+
+# ----- exit-code contract under mutated configs ------------------------
+
+SMALL_CONFIGS = [
+    config_dict(kind=kind, precision_bits=64, quadrature_nodes=8, max_size=2)
+    for kind in ("mop", "diagnostics")
+]
+
+NUMBERS = st.integers(min_value=-3, max_value=4) | st.floats(min_value=-4, max_value=4)
+JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | NUMBERS
+    | st.sampled_from([float("nan"), float("inf"), -float("inf"), 1e300])
+    | st.sampled_from(WEIGHT_FAMILIES + ("", "x", "1e400", "-2"))
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["family", "interval", "n1", "x"]),
+                      inner, max_size=2),
+    max_leaves=4,
+)
+
+
+def paths(node, prefix=()):
+    """Every key or index path inside a JSON value."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ()
+    )
+    for key, child in items:
+        yield prefix + (key,)
+        yield from paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_configs(draw):
+    data = json.loads(json.dumps(draw(st.sampled_from(SMALL_CONFIGS))))
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        path = draw(st.sampled_from(list(paths(data)) or [("kind",)]))
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        action = draw(st.sampled_from(["number", "replace", "delete", "add"]))
+        if action == "number":
+            parent[path[-1]] = draw(NUMBERS)
+        elif action == "replace":
+            parent[path[-1]] = draw(JSON_VALUES)
+        elif action == "delete":
+            del parent[path[-1]]
+        elif isinstance(parent, dict):
+            parent[draw(st.sampled_from(["extra", "mass_points", "alpha"]))] = (
+                draw(JSON_VALUES)
+            )
+        else:
+            parent.append(draw(JSON_VALUES))
+    return data
+
+
+@settings(deadline=None, max_examples=25)
+@given(data=mutated_configs())
+def test_exit_code_contract_under_mutated_configs(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        out_dir = os.path.join(tmp, "out")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main(["--config", path, "--out", out_dir])
+        assert code in (0, 1, 2, 3), code
+        assert "Traceback" not in err.getvalue()
+        if code == 1:
+            assert os.path.exists(os.path.join(out_dir, "summary.json"))
+        if code == 3:
+            assert os.path.exists(os.path.join(out_dir, "error.json"))

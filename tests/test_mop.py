@@ -15,6 +15,7 @@ from nikmop.mop import (
     solve_cached,
     solve_mop,
 )
+from nikmop.polys import poly_eval, poly_eval_and_slope, poly_eval_from_roots
 from nikmop.precision import pivot_threshold, refine_tolerance, working
 
 from conftest import BASE, BITS, HI_BITS, UP1, make_pair, monic_chebyshev_u
@@ -242,27 +243,30 @@ def fsum_hat(gens, z):
 
 
 def fsum_form(sol):
-    """``sol.form`` rebuilt on mp.fsum Cauchy sums, the reference for the
-    fixed-point kernel.  Values of A_{-t} on the second system's supports
-    are computed once per solution."""
+    """``sol.form`` rebuilt on mpf Horner blocks and mp.fsum Cauchy sums,
+    the reference for the fixed-point kernels.  Values of A_{-t} on the
+    second system's supports are computed once per solution."""
     pair, index = sol.pair, sol.index
     s1, s2 = pair.s1.generators, pair.s2.generators
     chains = []
+
+    def a(k, z):
+        return poly_eval(sol.coeffs[k], z)
 
     def a0(x):
         acc = mp.mpf(0)
         for k in range(index.m1 + 1):
             if index.n1[k]:
-                acc += sol.a(k, x) * (fsum_hat(s1[1 : k + 1], x) if k else 1)
+                acc += a(k, x) * (fsum_hat(s1[1 : k + 1], x) if k else 1)
         return acc
 
     def form(j, z):
         with working(sol.precision_bits):
             if j >= 0:
-                acc = sol.a(j, z) if index.n1[j] else mp.mpf(0)
+                acc = a(j, z) if index.n1[j] else mp.mpf(0)
                 for k in range(j + 1, index.m1 + 1):
                     if index.n1[k]:
-                        acc += sol.a(k, z) * fsum_hat(s1[j + 1 : k + 1], z)
+                        acc += a(k, z) * fsum_hat(s1[j + 1 : k + 1], z)
                 return acc
             if not chains:
                 chains.append([a0(x) for x in pair.base.support_points])
@@ -336,13 +340,136 @@ def test_zero_set_poly_eval_matches_coeffs(pair11):
     sol = solve_cached(pair11, IndexPair((3, 2), (3, 1)))
     zs = extract_cached(sol, 0)
     with working(BITS):
-        from nikmop.polys import poly_eval
-
         coeffs = zs.poly_coeffs()
         for x in (mp.mpf("-0.3"), mp.mpf("1.7"), mp.mpc("0.2", "0.8")):
             a = zs.poly_eval(x)
             b = poly_eval(coeffs, x)
             assert abs(a - b) <= abs(a) * FLOOR
+
+
+def kernel_terms(sol, j):
+    """(coefficients, weights, points) per term of A_j: the inputs its
+    form kernel is built from, weights None for the bare block."""
+    pair, index = sol.pair, sol.index
+    if j >= 0:
+        terms = [(sol.coeffs[j], None, None)] + [
+            (
+                sol.coeffs[k],
+                pair.s1.s_weights(j + 1, k),
+                pair.s1.generators[j + 1].support_points,
+            )
+            for k in range(j + 1, index.m1 + 1)
+        ]
+        return [t for t in terms if t[0]]
+    t = -j - 1
+    src = pair.s2.generators[t]
+    with working(sol.precision_bits):
+        weights = [w * v for w, v in zip(src.signed_weights, sol._neg_chain(t))]
+    return [((mp.mpf(1),), weights, src.support_points)]
+
+
+def reference_form(sol, j, z):
+    """A_j(z), A_j'(z) and the sums of the magnitudes of their terms, by
+    mpf Horner and mp.fsum at four times the working precision."""
+    with working(4 * sol.precision_bits):
+        val = slope = sigma = sigma_slope = 0
+        r = abs(z)
+        for coeffs, weights, points in kernel_terms(sol, j):
+            p, dp = poly_eval_and_slope(coeffs, z)
+            mag_p = mp.fsum(abs(c) * r**i for i, c in enumerate(coeffs))
+            mag_dp = mp.fsum(
+                i * abs(c) * r ** (i - 1) for i, c in enumerate(coeffs) if i
+            )
+            s, ds, mag_s, mag_ds = 1, 0, 1, 0
+            if weights is not None:
+                terms = [w / (z - x) for w, x in zip(weights, points)]
+                slopes = [t / (z - x) for t, x in zip(terms, points)]
+                s, ds = mp.fsum(terms), -mp.fsum(slopes)
+                mag_s = mp.fsum(abs(t) for t in terms)
+                mag_ds = mp.fsum(abs(t) for t in slopes)
+            val += p * s
+            slope += dp * s + p * ds
+            sigma += mag_p * mag_s
+            sigma_slope += mag_dp * mag_s + mag_p * mag_ds
+    return val, slope, sigma, sigma_slope
+
+
+def probe_points(sol, j):
+    """Scan-grid points of level j's hull, points 1e-30 from each zero and
+    from each hull end, and complex points.  The outer level borrows the
+    hull of the level above it, whose support its transform sums over."""
+    level = max(j, -sol.index.m2)
+    lo, hi = sol.pair.hull(level)
+    bits = sol.precision_bits
+    with working(bits):
+        eps = mp.mpf(10) ** -30
+        pts = mop._scan_grid(lo, hi, 16, bits)[::3]
+        for r in extract_cached(sol, level).zeros + (lo, hi):
+            pts += [r - eps, r + eps]
+        pts += [mp.mpc((lo + hi) / 2, "0.5"), mp.mpc("0.1", "1.5")]
+    return pts
+
+
+@pytest.mark.parametrize(
+    "name, index",
+    [("pair21", IndexPair((2, 2, 1), (3, 1))),
+     ("pair21", IndexPair((3, 2, 2), (4, 2))),
+     ("atom_pair", IndexPair((6,), (5,)))],
+)
+def test_form_kernel_within_stated_bound(request, name, index):
+    # |value - A| <= 2^-p |A| + 2^-(bits+36) Sigma, against mpf Horner and
+    # mp.fsum at four times the precision, for the value and the slope.
+    sol = solve_cached(request.getfixturevalue(name), index)
+    bits = sol.precision_bits
+    for j in range(-index.m2 - 1, index.m1 + 1):
+        for z in probe_points(sol, j):
+            val, slope = sol.form_and_slope(j, z)
+            assert sol.form(j, z) == val
+            want, want_slope, sigma, sigma_slope = reference_form(sol, j, z)
+            with working(4 * bits):
+                assert abs(val - want) <= (
+                    mp.ldexp(abs(want), -bits) + mp.ldexp(sigma, -bits - 36)
+                ), (j, z)
+                assert abs(slope - want_slope) <= (
+                    mp.ldexp(abs(want_slope), -bits)
+                    + mp.ldexp(sigma_slope, -bits - 36)
+                ), (j, z)
+
+
+@pytest.mark.parametrize(
+    "name, index",
+    [("pair21", IndexPair((3, 2, 2), (4, 2))), ("atom_pair", IndexPair((8,), (7,)))],
+)
+def test_zero_set_product_rounds_once(request, name, index):
+    sol = solve_cached(request.getfixturevalue(name), index)
+    bits = sol.precision_bits
+    for j in range(-index.m2, index.m1 + 1):
+        zs = extract_cached(sol, j)
+        for r in zs.zeros:
+            with working(bits):
+                assert zs.poly_eval(r) == 0
+        for z in probe_points(sol, j):
+            with working(bits):
+                got = zs.poly_eval(z)
+            with working(4 * bits):
+                want = poly_eval_from_roots(zs.zeros, z)
+                assert abs(got - want) <= mp.ldexp(abs(want), -bits), (j, z)
+
+
+@pytest.mark.parametrize("bits", [BITS, HI_BITS])
+@pytest.mark.parametrize("hull", [(-1, 1), (2, 3), ("-3.1", "-2.2")])
+@pytest.mark.parametrize("size", [16, 48, 4096])
+def test_scan_grid_within_one_ulp_of_cosines(bits, hull, size):
+    with working(bits):
+        lo, hi = (mp.mpf(v) for v in hull)
+        xs = mop._scan_grid(lo, hi, size, bits)
+    assert len(xs) == size and xs == sorted(xs)
+    with working(4 * bits):
+        for i, x in zip(range(size, 0, -1), xs):
+            want = (lo + hi) / 2 + (hi - lo) / 2 * mp.cos(
+                mp.pi * (2 * i - 1) / (2 * size)
+            )
+            assert abs(x - want) <= mp.ldexp(1, mp.frexp(want)[1] - bits), i
 
 
 def test_solve_cached_identity(pair11):
