@@ -701,13 +701,6 @@ class NikishinSystem:
         with working(kernel.bits):
             return kernel.value(z)
 
-    def s_hat_and_slope(self, j: int, k: int, z):
-        """``s_hat(j, k, z)`` and its derivative -sum w / (z - x)^2 in z,
-        from one pass over the point masses."""
-        kernel = self.kernel(j, k)
-        with working(kernel.bits):
-            return kernel.value_and_slope(z)
-
 
 def check_cauchy_identity(system: NikishinSystem, i: int, j: int, z) -> dict:
     """Both sides of the reversal identity for chained Cauchy transforms:

@@ -450,10 +450,17 @@ class FormKernel:
         kernels = [kernel for _, kernel in terms if kernel is not None]
         self._place = kernels[0].place if kernels else None
 
-    def __call__(self, z, slope: bool = False):
-        """A(z) at the ambient precision, or (A(z), A'(z)) with ``slope``."""
+    def __call__(self, z, slope: bool = False, factors=None):
+        """A(z) at the ambient precision, or (A(z), A'(z)) with ``slope``.
+
+        ``factors``, one real mpf per block in block order, stand in for
+        the S_k(z) (and for the 1 of a bare block): the value is then
+        sum_k p_k(z) factors[k], still one exact int rounded once.
+        """
         parts = exact_parts(z)
-        placed = self._place(parts) if self._place is not None else None
+        placed = None
+        if self._place is not None and factors is None:
+            placed = self._place(parts)
         zs, g = parts
         top = max(abs(v) for v in zs).bit_length()
         # |z| lies in [2^zlo, 2^(zlo+2)).
@@ -467,9 +474,15 @@ class FormKernel:
             g = 0
         vals = []
         slopes = []
-        for block, kernel in self._terms:
+        for i, (block, kernel) in enumerate(self._terms):
             e, cs = block.at(zlo)
             p, dp = _horner(cs, zs, -g, slope)
+            if factors is not None:
+                (f,), f_exp = exact_parts(factors[i])
+                vals.append((_mul(p, f), e + f_exp))
+                if slope:
+                    slopes.append((_mul(dp, f), e + f_exp))
+                continue
             if kernel is None:
                 vals.append((p, e))
                 if slope:
@@ -572,22 +585,24 @@ class MopSolution:
 
     def _neg_chain(self, t: int) -> tuple:
         """Values of A_{-t} on the support of the second system's generator
-        t (A_0 on the base for t = 0, from the blocks and the cached
-        densities shat1_{1,k} there)."""
+        t.  For t = 0 (A_0 on the base) the cached densities shat1_{1,k}
+        there stand in for the level-0 Cauchy sums."""
         key = ("chain", t)
         if key not in self._cache:
+            kernel = self._form_kernel(-t)
             points = self.pair.s2.generators[t].support_points
             with working(self.precision_bits):
                 if t == 0:
-                    vals = []
-                    for p, x in enumerate(points):
-                        acc = mp.mpf(0)
-                        for k in range(self.index.m1 + 1):
-                            if self.coeffs[k]:
-                                acc += self.a(k, x) * self.pair.base_density1(k)[p]
-                        vals.append(acc)
+                    dens = [
+                        self.pair.base_density1(k)
+                        for k in range(self.index.m1 + 1)
+                        if self.coeffs[k]
+                    ]
+                    vals = [
+                        kernel(x, factors=[d[p] for d in dens])
+                        for p, x in enumerate(points)
+                    ]
                 else:
-                    kernel = self._form_kernel(-t)
                     vals = [kernel(y) for y in points]
             self._cache[key] = tuple(vals)
         return self._cache[key]
