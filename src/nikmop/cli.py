@@ -286,7 +286,10 @@ class ExperimentConfig:
                     raise ConfigError(f"{key}[{i}]: {exc}") from exc
                 numbers = [*spec.interval, spec.alpha, spec.beta,
                            *(v for pt in spec.mass_points for v in pt)]
-                if not all(v is None or math.isfinite(float(v)) for v in numbers):
+                if not all(
+                    v is None or isinstance(v, int) or math.isfinite(float(v))
+                    for v in numbers
+                ):
                     raise ConfigError(f"{key}[{i}]: spec numbers must be finite")
                 out.append(spec)
             try:

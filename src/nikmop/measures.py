@@ -60,6 +60,8 @@ def _number(value):
         out = float(value)
     except ValueError:
         return None
+    except OverflowError:  # an int beyond the float range
+        out = math.inf if value > 0 else -math.inf
     return None if math.isnan(out) else out
 
 

@@ -405,6 +405,8 @@ def _exact_sum(parts, complex_z: bool):
     exactly, rounded once to the ambient precision."""
     if not parts:
         return mp.mpc(0) if complex_z else mp.mpf(0)
+    if len(parts) == 1:
+        return to_mp(*parts[0])
     low = min(e for _, e in parts)
     if complex_z:
         return to_mp((sum(m[0] << (e - low) for m, e in parts),

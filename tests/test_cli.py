@@ -284,6 +284,7 @@ def test_main_out_of_range_field_exits_two(tmp_path, capsys, over, message):
         ({"interval": [2, "1e400"]}, "spec numbers must be finite"),
         ({"mass_points": [[float("inf"), 1]]}, "spec numbers must be finite"),
         ({"mass_points": [[4, float("inf")]]}, "spec numbers must be finite"),
+        ({"interval": [-(10**400), 3]}, "supports of consecutive generators"),
     ],
 )
 def test_main_bad_spec_number_exits_two(tmp_path, capsys, upper, message):
