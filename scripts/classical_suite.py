@@ -18,19 +18,13 @@ import math
 from mpmath import mp
 
 from nikmop.asymptotics import classical_ratio_target, equal_ratio_ray, kappa_ratio_harness
+from nikmop.cli import ExperimentConfig, build_pair
 from nikmop.equilibrium import build_interaction_matrix, solve_equilibrium
-from nikmop.measures import NikishinSystem, WeightSpec, build_gauss_rule
-from nikmop.mop import IndexPair, NikishinPair, solve_cached
+from nikmop.mop import IndexPair, solve_cached
 from nikmop.precision import working
 from nikmop.reporting import write_gnuplot_dat
 
-
-def build_pair(nodes: int, bits: int) -> NikishinPair:
-    base = build_gauss_rule(
-        WeightSpec(family="chebyshev2", interval=(-1, 1)), nodes, bits
-    )
-    system = NikishinSystem(generators=(base,))
-    return NikishinPair(s1=system, s2=system)
+SEMICIRCLE = {"family": "chebyshev2", "interval": [-1, 1]}
 
 
 def main() -> int:
@@ -45,7 +39,10 @@ def main() -> int:
     parser.add_argument("--out", help="optional gnuplot data file")
     args = parser.parse_args()
 
-    pair = build_pair(args.nodes, args.bits)
+    pair = build_pair(ExperimentConfig.from_dict({
+        "kind": "mop", "system1": [SEMICIRCLE], "system2": [SEMICIRCLE],
+        "precision_bits": args.bits, "quadrature_nodes": args.nodes,
+    }))
     degrees = sorted({5, 10, 20, args.depth})
 
     with working(args.bits):

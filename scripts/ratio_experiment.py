@@ -22,24 +22,12 @@ from nikmop.asymptotics import (
     ratio_harness,
     telescoping_check,
 )
-from nikmop.cli import default_points
-from nikmop.measures import NikishinSystem, WeightSpec, build_gauss_rule
-from nikmop.mop import NikishinPair
+from nikmop.cli import ExperimentConfig, build_pair, default_points
 from nikmop.reporting import write_csv, write_gnuplot_dat
 
-LAYOUT = {
-    "base": WeightSpec(family="chebyshev2", interval=(-1, 1)),
-    "up": WeightSpec(family="chebyshev1", interval=(2, 3)),
-    "down": WeightSpec(family="legendre", interval=(-3, -2)),
-}
-
-
-def build_pair(nodes: int, bits: int) -> NikishinPair:
-    rules = {k: build_gauss_rule(s, nodes, bits) for k, s in LAYOUT.items()}
-    return NikishinPair(
-        s1=NikishinSystem(generators=(rules["base"], rules["up"])),
-        s2=NikishinSystem(generators=(rules["base"], rules["down"])),
-    )
+BASE = {"family": "chebyshev2", "interval": [-1, 1]}
+UP = {"family": "chebyshev1", "interval": [2, 3]}
+DOWN = {"family": "legendre", "interval": [-3, -2]}
 
 
 def main() -> int:
@@ -52,7 +40,10 @@ def main() -> int:
     parser.add_argument("--out", default="ratio_out")
     args = parser.parse_args()
 
-    pair = build_pair(args.nodes, args.bits)
+    pair = build_pair(ExperimentConfig.from_dict({
+        "kind": "ratio", "system1": [BASE, UP], "system2": [BASE, DOWN],
+        "precision_bits": args.bits, "quadrature_nodes": args.nodes,
+    }))
     ray = equal_ratio_ray(1, 1)
     points = default_points(pair, args.seed)
     os.makedirs(args.out, exist_ok=True)

@@ -149,21 +149,16 @@ def nth_root_harness(
 
 
 def ratio_harness(
-    pair, ray: IndexRay, shift_position: int, j: int, points, steps: int,
-    kind: str = "zero_poly",
+    pair, ray: IndexRay, shift_position: int, j: int, points, steps: int
 ) -> ConvergenceRecord:
-    """Successive ratios for a fixed shift along the ray: sample s
-    compares positions shift_position + s*m and its one-step successor,
-    so every sample realizes the same shift pair.
+    """Successive ratios of the monic zero polynomials for a fixed shift
+    along the ray: sample s compares positions shift_position + s*m and
+    its one-step successor, so every sample realizes the same shift pair.
 
-    ``kind`` selects the numerator/denominator objects: ``zero_poly``
-    divides the monic polynomials built from the extracted zeros,
-    ``form`` divides the linear forms themselves.  Targets are unknown
-    (Riemann-surface data); the record carries the raw ratio values for
-    stabilization metrics.
+    Targets are unknown (Riemann-surface data); the record carries the
+    raw ratio values for stabilization metrics.  Form ratios are recorded
+    by ``periodic_product_harness`` and ``telescoping_check``.
     """
-    if kind not in ("zero_poly", "form"):
-        raise ValueError(f"unknown ratio kind {kind!r}")
     m = period(ray.m1, ray.m2)
     bits = pair.precision_bits
     sizes = []
@@ -173,18 +168,14 @@ def ratio_harness(
         lo, hi, _ = ray.pair_at(r)
         sol_lo = solve_cached(pair, lo)
         sol_hi = solve_cached(pair, hi)
-        if kind == "zero_poly":
-            num_f = extract_cached(sol_hi, j).poly_eval
-            den_f = extract_cached(sol_lo, j).poly_eval
-        else:
-            num_f = lambda z: sol_hi.form(j, z)
-            den_f = lambda z: sol_lo.form(j, z)
+        num_q = extract_cached(sol_hi, j)
+        den_q = extract_cached(sol_lo, j)
         sizes.append(lo.size)
         with working(bits):
             for i, z in enumerate(points):
                 zv = mp.mpmathify(z)
-                num = num_f(zv)
-                den = den_f(zv)
+                num = num_q.poly_eval(zv)
+                den = den_q.poly_eval(zv)
                 if den == 0:
                     raise ZeroDivisionError(
                         f"test point {z} hits a zero of the level-{j} "
@@ -192,7 +183,7 @@ def ratio_harness(
                     )
                 values[i].append(complex(num / den))
     return ConvergenceRecord(
-        label=f"ratio level {j} shift at {shift_position} ({kind})",
+        label=f"ratio level {j} shift at {shift_position} (zero_poly)",
         points=tuple(points),
         sample_sizes=tuple(sizes),
         values=tuple(tuple(row) for row in values),
@@ -242,8 +233,8 @@ def kappa_ratio_harness(
     for s in range(steps):
         r = shift_position + s * m
         lo, hi, _ = ray.pair_at(r)
-        vd_lo = _varying(pair, lo)
-        vd_hi = _varying(pair, hi)
+        vd_lo = varying_cached(pair, lo)
+        vd_hi = varying_cached(pair, hi)
         sizes.append(lo.size)
         with working(pair.precision_bits):
             row.append(float(vd_hi.kappa[j] / vd_lo.kappa[j]))
@@ -255,8 +246,9 @@ def kappa_ratio_harness(
     )
 
 
-def _varying(pair, index: IndexPair):
-    """Varying data of ``index``, kept with its cached solution."""
+def varying_cached(pair, index: IndexPair):
+    """Varying data of ``index``, memoized in its cached solution's
+    ``_cache``: the one store of K, kappa and epsilon."""
     sol = solve_cached(pair, index)
     if "varying" not in sol._cache:
         zero_sets = {
@@ -275,8 +267,8 @@ def epsilon_ratio_check(pair, ray: IndexRay, positions, j: int) -> list:
     out = []
     for r in positions:
         lo, hi, (l1, l2) = ray.pair_at(r)
-        vd_lo = _varying(pair, lo)
-        vd_hi = _varying(pair, hi)
+        vd_lo = varying_cached(pair, lo)
+        vd_hi = varying_cached(pair, hi)
         got = vd_hi.epsilon[j] * vd_lo.epsilon[j]
         want = expected_epsilon_ratio(delta, l1, l2, j, ray.m1)
         out.append(

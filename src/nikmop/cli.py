@@ -37,6 +37,7 @@ from .asymptotics import (
     periodic_product_harness,
     ratio_harness,
     telescoping_check,
+    varying_cached,
 )
 from .diagnostics import (
     InterlacingIndeterminate,
@@ -73,7 +74,8 @@ from .mop import (
     IndexPair,
     NikishinPair,
     NormalityViolation,
-    compute_varying_data,
+    # Not called here: perfbench/tracing.py rebinds it through this module.
+    compute_varying_data,  # noqa: F401
     decreasing_indices,
     extract_cached,
     solve_cached,
@@ -130,6 +132,15 @@ def _is_number(value) -> bool:
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    if not _is_number(value):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def _check_ranges(data: dict, m1: int, m2: int) -> None:
@@ -261,6 +272,14 @@ class ExperimentConfig:
         unknown = set(self.ray) - _RAY_KEYS
         if unknown:
             raise ConfigError(f"unknown keys: ray.{sorted(unknown)[0]}")
+        unknown = set(self.tolerances) - set(DEFAULT_TOLERANCES[self.kind])
+        if unknown:
+            raise ConfigError(f"unknown keys: tolerances.{sorted(unknown)[0]}")
+        for name, value in sorted(self.tolerances.items()):
+            if not _is_finite(value):
+                raise ConfigError(
+                    f"tolerances.{name} must be a finite number, got {value!r}"
+                )
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":
@@ -276,6 +295,9 @@ class ExperimentConfig:
         for req in ("kind", "system1", "system2"):
             if req not in data:
                 raise ConfigError(f"missing required key: {req}")
+        for key in ("ray", "tolerances", "ratios"):
+            if not isinstance(data.get(key, {}), dict):
+                raise ConfigError(f"{key} must be an object")
 
         def specs(key):
             out = []
@@ -510,27 +532,22 @@ def run_diagnostics(config: ExperimentConfig, pair: NikishinPair) -> dict:
     interlace_ok = True
     epsilon_ok = True
     rows = []
-    varying = {}
 
-    def vdata(index):
-        if index not in varying:
-            sol = solve_cached(pair, index)
-            zsets = {
-                j: extract_cached(sol, j)
-                for j in range(-index.m2, index.m1 + 1)
-            }
-            report = check_zero_counts(sol, zsets)
-            # Varying-measure constants need every form to be nonzero,
-            # which fails when the top blocks of the first side are empty.
-            vd = (
-                compute_varying_data(sol, zsets)
-                if index.n1[pair.m1] >= 1 else None
-            )
-            varying[index] = (sol, zsets, report, vd)
-        return varying[index]
+    def zero_sets(index):
+        sol = solve_cached(pair, index)
+        return {
+            j: extract_cached(sol, j) for j in range(-index.m2, index.m1 + 1)
+        }
+
+    def varying(index):
+        # Varying-measure constants need every form to be nonzero,
+        # which fails when the top blocks of the first side are empty.
+        return varying_cached(pair, index) if index.n1[pair.m1] >= 1 else None
 
     for index in lattice:
-        _, zsets, report, vd = vdata(index)
+        zsets = zero_sets(index)
+        report = check_zero_counts(solve_cached(pair, index), zsets)
+        vd = varying(index)
         zero_ok = zero_ok and report.passed
         rows.append(
             (json.dumps(list(index.n1)), json.dumps(list(index.n2)),
@@ -544,7 +561,8 @@ def run_diagnostics(config: ExperimentConfig, pair: NikishinPair) -> dict:
             shifted = index.shifted(l1, l2)
             if not (shifted.is_decreasing() and shifted.size <= config.max_size):
                 continue
-            _, zsets_s, _, vd_s = vdata(shifted)
+            zsets_s = zero_sets(shifted)
+            vd_s = varying(shifted)
             for j in range(-pair.m2, pair.m1 + 1):
                 if index.n1[pair.m1] >= 2:
                     ok = check_interlacing(zsets[j].zeros, zsets_s[j].zeros)

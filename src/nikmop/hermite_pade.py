@@ -170,10 +170,15 @@ def remainder_moments(solution: MopSolution, j: int) -> tuple:
     return tuple(out)
 
 
-def far_field_slope(solution: MopSolution, j: int, ts=(10**4, 10**5, 10**6)):
-    """Least-squares slope of log|remainder| against log t on the real
-    far field; should not exceed -(n2[j] + 1) up to the curvature left
-    at finite t."""
+#: Real far-field points at which ``far_field_slope`` samples the remainder.
+FAR_FIELD_POINTS = (10**4, 10**5, 10**6)
+
+
+def far_field_slope(solution: MopSolution, j: int):
+    """Least-squares slope of log|remainder| against log t over
+    ``FAR_FIELD_POINTS``; should not exceed -(n2[j] + 1) up to the
+    curvature left at finite t."""
+    ts = FAR_FIELD_POINTS
     with working(solution.precision_bits):
         xs = [mp.log(mp.mpf(t)) for t in ts]
         ys = [

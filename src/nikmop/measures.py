@@ -591,40 +591,24 @@ def cauchy_transform(measure: DiscretizedMeasure, z):
     return measure.cauchy(z)
 
 
-@functools.lru_cache(maxsize=None)
-def _chain_density(measures: tuple):
-    """Density of <m_0, m_1, ..., m_k> with respect to m_0, evaluated on
-    m_0's support points.  Recursive over the tail of the chain."""
-    head = measures[0]
-    if len(measures) == 1:
+def _chain_density(system: "NikishinSystem", j: int, k: int) -> tuple:
+    """Density of <s_j, ..., s_k> with respect to s_j on s_j's support:
+    the system's Cauchy sum over <s_{j+1}, ..., s_k> evaluated there, all
+    ones when j == k."""
+    head = system.generators[j]
+    if j == k:
         return tuple(mp.mpf(1) for _ in head.support_points)
-    tail_density = _chain_density(measures[1:])
-    nxt = measures[1]
+    kernel = system.kernel(j + 1, k)
     with working(head.precision_bits):
-        kernel = CauchyKernel(
-            tuple(w * d for w, d in zip(nxt.signed_weights, tail_density)),
-            nxt.support_points,
-            head.precision_bits,
-        )
         return tuple(kernel.value(x) for x in head.support_points)
 
 
 def nested_cauchy_transform(measures: Sequence[DiscretizedMeasure], z):
-    """Cauchy transform of the chained measure <m_0, m_1, ..., m_k> at ``z``.
-
-    Consecutive supports must be disjoint for the chain to make sense; no
-    check is repeated here beyond nonzero denominators.
-    """
-    chain = tuple(measures)
-    head = chain[0]
-    density = _chain_density(chain)
-    with working(head.precision_bits):
-        kernel = CauchyKernel(
-            tuple(w * d for w, d in zip(head.signed_weights, density)),
-            head.support_points,
-            head.precision_bits,
-        )
-        return kernel.value(z)
+    """Cauchy transform of the chained measure <m_0, m_1, ..., m_k> at ``z``,
+    through a fresh ``NikishinSystem`` over the chain (which checks that
+    consecutive supports are disjoint)."""
+    system = NikishinSystem(generators=tuple(measures))
+    return system.s_hat(0, system.m, z)
 
 
 def check_chain_hulls(hulls: Sequence) -> None:
@@ -646,7 +630,8 @@ class NikishinSystem:
     s_j on s_j's support; ``s_hat(j, k, z)`` is the Cauchy transform of that
     chained measure and ``s_weights(j, k)`` its point masses, so chained
     measures can be integrated against like any other discrete measure.
-    Densities and point masses share ``_density_cache``.
+    Densities, point masses and their Cauchy kernels share
+    ``_density_cache``, the only store of chain data.
     """
 
     generators: tuple
@@ -672,7 +657,7 @@ class NikishinSystem:
         self._check_range(j, k)
         key = (j, k)
         if key not in self._density_cache:
-            self._density_cache[key] = _chain_density(self.generators[j : k + 1])
+            self._density_cache[key] = _chain_density(self, j, k)
         return self._density_cache[key]
 
     def s_weights(self, j: int, k: int) -> tuple:
@@ -710,8 +695,9 @@ def check_cauchy_identity(system: NikishinSystem, i: int, j: int, z) -> dict:
     hat<s_j,...,s_i>(z) = sum_{k=i}^{j-1} (-1)^{k-i} hat<s_i,...,s_k>(z)
     hat<s_j,...,s_{k+1}>(z) + (-1)^{j-i} hat<s_i,...,s_j>(z),  i < j.
 
-    Descending chains are computed through their own nested sums, so the two
-    sides share no intermediate quantities beyond the generators themselves.
+    Every chain, ascending or descending, is summed by its own fresh system
+    (``nested_cauchy_transform``), so the two sides share no intermediate
+    quantities beyond the generators themselves.
     """
     if not 0 <= i < j <= system.m:
         raise IndexError(f"need 0 <= i < j <= m, got ({i}, {j})")

@@ -614,16 +614,15 @@ class MopSolution:
         j = -m2, ..., m1."""
         if j > self.index.m1 or j < -self.index.m2:
             raise IndexError(f"support index {j} out of range")
-        key = ("support", j)
-        if key in self._cache:
-            return self._cache[key]
         if j <= 0:
-            vals = self._neg_chain(-j)
-        else:
+            return self._neg_chain(-j)
+        key = ("support", j)
+        if key not in self._cache:
             meas = self.pair.s1.generators[j]
             with working(self.precision_bits):
-                vals = tuple(self.form(j, x) for x in meas.support_points)
-        self._cache[key] = tuple(vals)
+                self._cache[key] = tuple(
+                    self.form(j, x) for x in meas.support_points
+                )
         return self._cache[key]
 
 

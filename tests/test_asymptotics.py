@@ -223,12 +223,6 @@ def test_periodic_product_harness_shapes(pair11):
     assert all(m >= 0 and math.isfinite(m) for m in moves)
 
 
-def test_ratio_harness_rejects_unknown_kind(pair11):
-    ray = equal_ratio_ray(1, 1)
-    with pytest.raises(ValueError, match="unknown ratio kind"):
-        ratio_harness(pair11, ray, 0, 0, points=(2.5,), steps=2, kind="w")
-
-
 def test_boundary_product_harness_sanity(pair11):
     ray = equal_ratio_ray(1, 1)
     out = boundary_product_harness(

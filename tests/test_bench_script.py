@@ -1,7 +1,12 @@
-"""The summary of ``scripts/bench.py`` on hand-made run records."""
+"""The summary of ``scripts/bench.py`` on hand-made run records, and the
+entry points ``perfbench/tracing.py`` rebinds."""
 
 import importlib.util
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
@@ -61,3 +66,45 @@ def test_every_run_of_one_side_crashed():
     assert not table["all_correct"]
     assert "wall_s" not in table
 
+
+# ----- the tracer's view of the pipeline --------------------------------
+
+TRACED_SPANS = {
+    "cli.build_pair",
+    "measures.build_gauss_rule",
+    "measures.density",
+    "mop.assemble_moment_system",
+    "mop.solve_mop",
+    "mop.extract_Q",
+    "mop.form",
+    "mop.compute_varying_data",
+    "diagnostics.check_zero_counts",
+    "reporting.write",
+}
+
+
+def test_traced_worker_reaches_every_layer(tmp_path):
+    """``perfbench/worker.py --trace`` rebinds named entry points of the
+    package; each must still exist and still be reached by a run."""
+    base = {"family": "chebyshev2", "interval": [-1, 1]}
+    config = {
+        "kind": "diagnostics", "precision_bits": 64, "quadrature_nodes": 8,
+        "max_size": 2,
+        "system1": [base, {"family": "chebyshev1", "interval": [2, 3]}],
+        "system2": [base, {"family": "legendre", "interval": [-3, -2]}],
+    }
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    result_path = tmp_path / "result.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "worker.py"),
+         str(result_path), str(tmp_path / "out"), str(config_path), "--trace"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(result_path.read_text())
+    assert result["codes"] == [0]
+    assert TRACED_SPANS <= {span[0] for span in result["spans"]}
+    for name in ("solve_cached", "extract_cached"):
+        assert f"mop.{name}.hit_ratio" in result["counters"]

@@ -273,6 +273,30 @@ def test_main_out_of_range_field_exits_two(tmp_path, capsys, over, message):
 
 
 @pytest.mark.parametrize(
+    "over, message",
+    [
+        ({"tolerances": {"residul": 1e-9}}, "unknown keys: tolerances.residul"),
+        ({"tolerances": {"residual": "abc"}}, "tolerances.residual must be a finite"),
+        ({"tolerances": {"residual": [1]}}, "tolerances.residual must be a finite"),
+        ({"tolerances": {"residual": True}}, "tolerances.residual must be a finite"),
+        ({"tolerances": {"residual": float("nan")}}, "must be a finite"),
+        ({"tolerances": {"residual": 10**400}}, "must be a finite"),
+        ({"tolerances": []}, "tolerances must be an object"),
+        ({"tolerances": "abc"}, "tolerances must be an object"),
+        ({"ratios": []}, "ratios must be an object"),
+        ({"ratios": ""}, "ratios must be an object"),
+        ({"ray": "ab"}, "ray must be an object"),
+    ],
+)
+def test_main_bad_tolerances_ratios_or_ray_exit_two(tmp_path, capsys, over, message):
+    path = write_config(tmp_path, config_dict(kind="equilibrium", **over))
+    assert main(["--config", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
     "upper, message",
     [
         ({"interval": {"family": None}}, "interval must be (a, b)"),
@@ -489,9 +513,10 @@ def mutated_configs(draw):
         elif action == "delete":
             del parent[path[-1]]
         elif isinstance(parent, dict):
-            parent[draw(st.sampled_from(["extra", "mass_points", "alpha"]))] = (
-                draw(JSON_VALUES)
-            )
+            key = draw(st.sampled_from(
+                ["extra", "mass_points", "alpha", "tolerances", "ratios"]
+            ))
+            parent[key] = draw(JSON_VALUES)
         else:
             parent.append(draw(JSON_VALUES))
     return data
