@@ -269,6 +269,14 @@ class ExperimentConfig:
             )
         if not _is_int(self.seed) or self.seed < 0:
             raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
+        if self.output_dir is not None and not isinstance(self.output_dir, str):
+            raise ConfigError(
+                f"output_dir must be a string, got {self.output_dir!r}"
+            )
+        if not isinstance(self.hex_floats, bool):
+            raise ConfigError(
+                f"hex_floats must be true or false, got {self.hex_floats!r}"
+            )
         unknown = set(self.ray) - _RAY_KEYS
         if unknown:
             raise ConfigError(f"unknown keys: ray.{sorted(unknown)[0]}")
@@ -366,7 +374,7 @@ class ExperimentConfig:
             seed=data.get("seed", 0),
             tolerances=dict(data.get("tolerances", {})),
             output_dir=data.get("output_dir"),
-            hex_floats=bool(data.get("hex_floats", False)),
+            hex_floats=data.get("hex_floats", False),
         )
 
     def to_dict(self) -> dict:

@@ -191,23 +191,21 @@ def _make_grid(interval, panels: int, atoms=()) -> ComponentGrid:
 
 
 def _kernel_block(ga: ComponentGrid, gb: ComponentGrid) -> np.ndarray:
-    """Panel-averaged -log|x-y| energies between two grids."""
+    """Panel-averaged -log|x-y| energies between two grids.
+
+    The panel-panel part evaluates the double primitive Phi once, on the
+    (na+1) x (nb+1) grid of edge differences; the four corner terms of
+    each panel pair are shifted views of that one array.  Phi is even and
+    a - b == -(b - a) in IEEE arithmetic, so the block for (gb, ga) is
+    exactly the transpose of this one.
+    """
     out = np.empty((ga.cells, gb.cells))
     ea, eb = ga.edges, gb.edges
     na, nb = len(ea) - 1, len(eb) - 1
     ha = np.diff(ea)
     hb = np.diff(eb)
-    # panel-panel via the closed-form double primitive, vectorized
-    c1 = np.subtract.outer(ea[1:], eb[:-1])
-    c2 = np.subtract.outer(ea[:-1], eb[1:])
-    c3 = np.subtract.outer(ea[1:], eb[1:])
-    c4 = np.subtract.outer(ea[:-1], eb[:-1])
-    raw = -(
-        _log_double_primitive(c1)
-        + _log_double_primitive(c2)
-        - _log_double_primitive(c3)
-        - _log_double_primitive(c4)
-    )
+    phi = _log_double_primitive(np.subtract.outer(ea, eb))
+    raw = -(phi[1:, :-1] + phi[:-1, 1:] - phi[1:, 1:] - phi[:-1, :-1])
     out[:na, :nb] = raw / np.outer(ha, hb)
     # atom-panel: average of -log|t - x| over the panel
     for ia, t in enumerate(ga.atoms):
@@ -313,21 +311,30 @@ class EquilibriumSolution:
 
 
 def _assemble(matrix: InteractionMatrix, grids: dict):
+    """Energy matrix q of the discretized vector problem, with the cell
+    offsets of each level.
+
+    Only the blocks with j <= k are built; each off-diagonal one is
+    written with its transpose into the mirror position.  The kernel
+    blocks and the interaction matrix are exactly symmetric, so q is too.
+    """
     levels = list(matrix.levels())
     sizes = [grids[j].cells for j in levels]
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     total = offsets[-1]
     q = np.zeros((total, total))
     for aj, j in enumerate(levels):
-        for ak, k in enumerate(levels):
+        rows = slice(offsets[aj], offsets[aj + 1])
+        for ak in range(aj, len(levels)):
+            k = levels[ak]
             cjk = matrix.c(j, k)
             if cjk == 0:
                 continue
-            block = _kernel_block(grids[j], grids[k])
-            q[offsets[aj]:offsets[aj + 1], offsets[ak]:offsets[ak + 1]] = (
-                cjk * block
-            )
-    q = (q + q.T) / 2
+            block = cjk * _kernel_block(grids[j], grids[k])
+            cols = slice(offsets[ak], offsets[ak + 1])
+            q[rows, cols] = block
+            if ak > aj:
+                q[cols, rows] = block.T
     return q, offsets, levels
 
 

@@ -33,7 +33,12 @@ from .measures import (
     to_mp,
 )
 from .polys import poly_from_roots
-from .precision import pivot_threshold, refine_tolerance, working
+from .precision import (
+    lead_threshold,
+    pivot_threshold,
+    refine_tolerance,
+    working,
+)
 
 
 class NormalityViolation(ArithmeticError):
@@ -656,7 +661,7 @@ def solve_mop(pair: NikishinPair, index: IndexPair) -> MopSolution:
             pos += width
         monic_block = max(j for j in range(index.m1 + 1) if index.n1[j])
         scale = max(abs(c) for b in blocks for c in b)
-        lead_floor = mp.mpf(10) ** (-0.6 * bits * mp.log(2) / mp.log(10))
+        lead_floor = lead_threshold(bits)
         for j, block in enumerate(blocks):
             if block and abs(block[-1]) <= lead_floor * scale:
                 raise NormalityViolation(

@@ -5,6 +5,7 @@ manager, so no function leaks a changed global precision to its caller.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 from mpmath import mp
@@ -16,6 +17,9 @@ MIN_PRECISION_BITS = 8
 
 #: Pivot threshold exponent fraction for the moment-system elimination.
 PIVOT_EXPONENT_FRACTION = 0.8
+
+#: Leading-coefficient threshold exponent fraction for the moment solve.
+LEAD_EXPONENT_FRACTION = 0.6
 
 #: Relative step target exponent fraction for zero refinement.
 REFINE_EXPONENT_FRACTION = 0.25
@@ -30,9 +34,25 @@ def working(bits: int):
     return mp.workprec(bits)
 
 
+# The two thresholds below are fixed mpf values of ``bits`` alone, taken
+# at ``working(bits)`` once per ``bits`` rather than once per solve.
+
+
+@functools.lru_cache(maxsize=None)
 def pivot_threshold(bits: int):
     """Relative pivot size below which the moment system counts as singular."""
-    return mp.mpf(10) ** (-PIVOT_EXPONENT_FRACTION * bits * math.log10(2.0))
+    with working(bits):
+        return mp.mpf(10) ** (-PIVOT_EXPONENT_FRACTION * bits * math.log10(2.0))
+
+
+@functools.lru_cache(maxsize=None)
+def lead_threshold(bits: int):
+    """Relative size at or below which a solved block's leading coefficient
+    counts as zero."""
+    with working(bits):
+        return mp.mpf(10) ** (
+            -LEAD_EXPONENT_FRACTION * bits * mp.log(2) / mp.log(10)
+        )
 
 
 def refine_tolerance(bits: int):

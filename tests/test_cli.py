@@ -296,6 +296,28 @@ def test_main_bad_tolerances_ratios_or_ray_exit_two(tmp_path, capsys, over, mess
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("value", ["no", 1, None])
+def test_main_hex_floats_must_be_a_boolean(tmp_path, capsys, value):
+    data = config_dict(kind="equilibrium", panels=32, hex_floats=value)
+    path = write_config(tmp_path, data)
+    assert main(["--config", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "hex_floats must be true or false" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_main_output_dir_must_be_a_string(tmp_path, monkeypatch, capsys):
+    # Without --out the config's output_dir names the output directory.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.OUT_ENV, raising=False)
+    path = write_config(tmp_path, config_dict(max_size=1, output_dir=5))
+    assert main(["--config", path]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "output_dir must be a string" in err
+    assert "Traceback" not in err
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
+
 @pytest.mark.parametrize(
     "upper, message",
     [

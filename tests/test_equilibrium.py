@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 from nikmop.equilibrium import (
     EquilibriumError,
     _active_set_solve,
+    _assemble,
+    _log_double_primitive,
+    _make_grid,
     _variational_state,
     arcsine_potential,
     build_interaction_matrix,
@@ -174,3 +177,88 @@ def test_unreachable_tolerance_raises():
         solve_equilibrium(
             matrix, sets, panels_per_set=32, tol=1e-18, init="random", seed=3
         )
+
+
+def reference_block(ga, gb):
+    """Kernel block from four separate corner evaluations of the double
+    primitive, one masked call per corner."""
+    out = np.empty((ga.cells, gb.cells))
+    ea, eb = ga.edges, gb.edges
+    na, nb = len(ea) - 1, len(eb) - 1
+    ha, hb = np.diff(ea), np.diff(eb)
+    raw = -(
+        _log_double_primitive(np.subtract.outer(ea[1:], eb[:-1]))
+        + _log_double_primitive(np.subtract.outer(ea[:-1], eb[1:]))
+        - _log_double_primitive(np.subtract.outer(ea[1:], eb[1:]))
+        - _log_double_primitive(np.subtract.outer(ea[:-1], eb[:-1]))
+    )
+    out[:na, :nb] = raw / np.outer(ha, hb)
+    for ia, t in enumerate(ga.atoms):
+        for ib in range(nb):
+            out[na + ia, ib] = -panel_log_integral(t, eb[ib], eb[ib + 1]) / hb[ib]
+    for ib, t in enumerate(gb.atoms):
+        for ia in range(na):
+            out[ia, nb + ib] = -panel_log_integral(t, ea[ia], ea[ia + 1]) / ha[ia]
+    for ia, ta in enumerate(ga.atoms):
+        for ib, tb in enumerate(gb.atoms):
+            if ta == tb:
+                scale = (ha.mean() + hb.mean()) / 2
+                out[na + ia, nb + ib] = -math.log(scale / 4)
+            else:
+                out[na + ia, nb + ib] = -math.log(abs(ta - tb))
+    return out
+
+
+def reference_assemble(matrix, grids):
+    """Every block on both sides of the diagonal, then symmetrized."""
+    levels = list(matrix.levels())
+    offsets = np.concatenate([[0], np.cumsum([grids[j].cells for j in levels])])
+    q = np.zeros((offsets[-1], offsets[-1]))
+    for aj, j in enumerate(levels):
+        for ak, k in enumerate(levels):
+            if matrix.c(j, k):
+                q[offsets[aj]:offsets[aj + 1], offsets[ak]:offsets[ak + 1]] = (
+                    matrix.c(j, k) * reference_block(grids[j], grids[k])
+                )
+    return (q + q.T) / 2
+
+
+@pytest.mark.parametrize(
+    "ratios, sets",
+    [
+        (
+            equal_ratio_vectors(1, 1),
+            {-1: (-3.0, -2.0), 0: (-1.0, 1.0), 1: (2.0, 3.0)},
+        ),
+        (
+            equal_ratio_vectors(2, 1),
+            {-1: (-3.1, -2.0), 0: (-1.0, 1.0), 1: (2.0, 3.05), 2: (5.0, 6.0)},
+        ),
+        (
+            equal_ratio_vectors(1, 1),
+            {
+                -1: {"interval": (-3.0, -2.0), "atoms": (-1.5,)},
+                0: {"interval": (-1, 1), "atoms": (1.5,)},
+                1: (2.0, 3.0),
+            },
+        ),
+    ],
+    ids=["equal_ratio_11", "equal_ratio_21", "off_interval_atoms"],
+)
+def test_assembly_matches_two_sided_four_corner_reference(ratios, sets):
+    # One double-primitive evaluation per edge pair and the mirrored upper
+    # blocks give the very floats of the four-corner, two-sided assembly.
+    matrix = build_interaction_matrix(*ratios)
+    grids = {}
+    for j, spec in sets.items():
+        if isinstance(spec, dict):
+            grids[j] = _make_grid(spec["interval"], 48, spec["atoms"])
+        else:
+            grids[j] = _make_grid(spec, 48)
+    q, offsets, levels = _assemble(matrix, grids)
+    assert levels == list(matrix.levels())
+    assert list(offsets) == list(
+        np.cumsum([0] + [grids[j].cells for j in levels])
+    )
+    assert q.tobytes() == reference_assemble(matrix, grids).tobytes()
+    assert np.array_equal(q, q.T)
