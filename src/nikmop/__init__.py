@@ -1,6 +1,7 @@
 """Mixed multiple orthogonal polynomials for pairs of Nikishin systems.
 
-Submodules: measures (weights, Gauss rules, chained Cauchy transforms),
+Submodules: fixed (the fixed-point number format, Cauchy sums and forms
+in ints), measures (weights, Gauss rules, chained Cauchy transforms),
 mop (moment systems, forms, zeros), diagnostics (structure checks),
 equilibrium (vector potential problems), asymptotics (nth-root and ratio
 harnesses), hermite_pade (matrix rational approximation, biorthogonality),

@@ -52,59 +52,6 @@ def check_interlacing(zs1, zs2, tie_tol=0) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class InterlacingReport:
-    """Outcome of one interlacing comparison at form level ``j``.
-
-    ``first_violation`` is the position in the merged sorted sequence
-    where two same-source zeros are adjacent, or None.  ``status`` is
-    "pass", "fail", or "indeterminate" (coincident zeros at working
-    precision).
-    """
-
-    j: int
-    zeros_n: tuple
-    zeros_nl: tuple
-    interlaced: bool
-    first_violation: int | None
-    status: str
-
-
-def interlacing_report(j, zs_n, zs_nl, tie_tol=0) -> InterlacingReport:
-    """Run check_interlacing and package the verdict with its inputs."""
-    zeros_n = tuple(zs_n)
-    zeros_nl = tuple(zs_nl)
-    try:
-        ok = check_interlacing(zeros_n, zeros_nl, tie_tol=tie_tol)
-    except InterlacingIndeterminate:
-        return InterlacingReport(
-            j=j,
-            zeros_n=zeros_n,
-            zeros_nl=zeros_nl,
-            interlaced=False,
-            first_violation=None,
-            status="indeterminate",
-        )
-    violation = None
-    if not ok:
-        merged = sorted(
-            [(x, 0) for x in zeros_n] + [(x, 1) for x in zeros_nl],
-            key=lambda t: t[0],
-        )
-        for pos, ((_, sa), (_, sb)) in enumerate(zip(merged, merged[1:])):
-            if sa == sb:
-                violation = pos
-                break
-    return InterlacingReport(
-        j=j,
-        zeros_n=zeros_n,
-        zeros_nl=zeros_nl,
-        interlaced=ok,
-        first_violation=violation,
-        status="pass" if ok else "fail",
-    )
-
-
 def support_gaps(measure: DiscretizedMeasure) -> tuple:
     """Open components of hull(measure) minus its support, as (lo, hi)
     pairs.  The support is the weight interval together with any mass

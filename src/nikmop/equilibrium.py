@@ -10,7 +10,6 @@ keeps the diagonal singularity out of the picture entirely.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -108,18 +107,11 @@ def build_interaction_matrix(p1, p2) -> InteractionMatrix:
 def _log_double_primitive(u):
     """Phi with Phi'' = log|u|, Phi(0) = Phi'(0) = 0."""
     u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    nz = u != 0
-    out[nz] = u[nz] ** 2 * (2 * np.log(np.abs(u[nz])) - 3) / 4
+    # log 0 = -inf makes the zero entries nan; their limit is 0.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = u**2 * (2 * np.log(np.abs(u)) - 3) / 4
+    out[u == 0] = 0.0
     return out
-
-
-def panel_pair_energy(a1, a2, b1, b2) -> float:
-    """Exact value of the double integral of -log|x-y| for x in [a1,a2],
-    y in [b1,b2] (not yet divided by the panel widths)."""
-    corners = np.array([a2 - b1, a1 - b2, a2 - b2, a1 - b1])
-    phi = _log_double_primitive(corners)
-    return -(phi[0] + phi[1] - phi[2] - phi[3])
 
 
 def panel_log_integral(z, c, d):
@@ -285,29 +277,6 @@ class EquilibriumSolution:
 
     def eval_G(self, j: int, z) -> float:
         return math.exp(-self.eval_U(j, z))
-
-    def to_dict(self) -> dict:
-        return {
-            "m1": self.matrix.m1,
-            "m2": self.matrix.m2,
-            "big_p": {str(j): v for j, v in self.matrix.big_p.items()},
-            "grids": {
-                str(j): {
-                    "interval": list(g.interval),
-                    "panels": len(g.edges) - 1,
-                    "atoms": list(g.atoms),
-                }
-                for j, g in self.grids.items()
-            },
-            "masses": {str(j): self.masses[j].tolist() for j in self.masses},
-            "omega": {str(j): self.omega[j] for j in self.omega},
-            "energy": self.energy,
-            "residual": self.residual,
-            "iterations": self.iterations,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def _assemble(matrix: InteractionMatrix, grids: dict):

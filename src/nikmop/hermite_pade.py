@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from mpmath import mp
 
-from .measures import CauchyKernel, nested_cauchy_transform
+from .fixed import CauchyKernel
+from .measures import nested_cauchy_transform
 from .mop import IndexPair, MopSolution, NikishinPair, solve_cached
-from .polys import poly_eval
 from .precision import working
 
 
@@ -43,12 +43,6 @@ class MatrixMarkov:
                 for w, v in zip(base.signed_weights, self.w_values(row, col))
             )
             return CauchyKernel(weights, base.support_points, bits).value(z)
-
-    def entries(self, z) -> tuple:
-        return tuple(
-            tuple(self.entry(r, c, z) for c in range(self.pair.m1 + 1))
-            for r in range(self.pair.m2 + 1)
-        )
 
     def rank_one_defect(self) -> float:
         """Worst 2x2 minor of W over all nodes and index pairs, relative
@@ -113,6 +107,14 @@ def compute_D(solution: MopSolution) -> tuple:
     return tuple(out)
 
 
+def _poly_eval(coeffs, z):
+    """Horner evaluation of ascending coefficients ``coeffs`` at ``z``."""
+    acc = mp.mpf(0)
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc
+
+
 def remainder_matrix_route(solution: MopSolution, j: int, z, d_polys=None):
     """Row j of (Markov transform) (coefficients)^t - D^t at z.
 
@@ -125,7 +127,7 @@ def remainder_matrix_route(solution: MopSolution, j: int, z, d_polys=None):
     markov = MatrixMarkov(pair)
     with working(solution.precision_bits):
         zv = mp.mpmathify(z)
-        acc = -poly_eval(d_polys[j], zv)
+        acc = -_poly_eval(d_polys[j], zv)
         for k in range(pair.m1 + 1):
             if solution.index.n1[k]:
                 acc += markov.entry(j, k, zv) * solution.a(k, zv)

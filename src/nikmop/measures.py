@@ -25,6 +25,7 @@ from typing import Sequence
 import numpy as np
 from mpmath import mp
 
+from .fixed import CauchyKernel, exact_parts, to_fixed, to_mp
 from .precision import DEFAULT_PRECISION_BITS, working
 
 DEFAULT_NODES = 128
@@ -68,10 +69,10 @@ def _number(value):
 def _exact(value):
     # the exact number a spec entry denotes, read as _as_mpf reads it
     if isinstance(value, mp.mpf):
-        sign, man, exp, _ = value._mpf_
-        if not man and exp:
+        if not mp.isfinite(value):
             return float(value)
-        return Fraction(-man if sign else man) * Fraction(2) ** exp
+        (man,), exp = exact_parts(value)
+        return Fraction(man) * Fraction(2) ** exp
     if isinstance(value, int):
         return Fraction(value)
     if math.isinf(float(value)):
@@ -194,15 +195,6 @@ GAUSS_GUARD_BITS = 40
 GAUSS_NEWTON_STEPS = 80
 
 
-def _to_fixed(value, bits: int) -> int:
-    """floor(value * 2**bits) for an mpf value, exactly."""
-    sign, man, exp, _ = value._mpf_
-    if sign:
-        man = -man
-    shift = exp + bits
-    return man << shift if shift >= 0 else man >> -shift
-
-
 def _scaled_monic(n: int, x: int, a2, b4, bits: int):
     """P_n(x), P_n'(x) and P_{n-1}(x) for P_k = 2^k p_k, p_k the monic
     orthogonal polynomials, all ints at scale 2^bits.
@@ -239,8 +231,8 @@ def _gauss_jacobi(n: int, alpha, beta, bits: int):
     scale = bits + GAUSS_GUARD_BITS
     with working(scale):
         rec = [_jacobi_recurrence(k, alpha, beta) for k in range(n)]
-        a2 = [_to_fixed(2 * a, scale) for a, _ in rec]
-        b4 = [_to_fixed(4 * b, scale) for _, b in rec]
+        a2 = [to_fixed(2 * a, scale) for a, _ in rec]
+        b4 = [to_fixed(4 * b, scale) for _, b in rec]
         h2 = 2 * _jacobi_mass(alpha, beta) * mp.fprod(4 * b for _, b in rec[1:])
     jacobi_matrix = (
         np.diag([float(a) for a, _ in rec])
@@ -251,7 +243,7 @@ def _gauss_jacobi(n: int, alpha, beta, bits: int):
     nodes = []
     weights = []
     for g in guesses:
-        x = _to_fixed(mp.mpf(g), scale)
+        x = to_fixed(mp.mpf(g), scale)
         for _ in range(GAUSS_NEWTON_STEPS):
             p, d, _ = _scaled_monic(n, x, a2, b4, scale)
             if d == 0:
@@ -263,7 +255,7 @@ def _gauss_jacobi(n: int, alpha, beta, bits: int):
         else:
             raise QuadratureError(f"Newton refinement stalled for node near {g}")
         _, d, p_prev = _scaled_monic(n, x, a2, b4, scale)
-        nodes.append(mp.mpf((x, -scale)))
+        nodes.append(to_mp(x, -scale))
         with working(scale):
             w = mp.ldexp(h2, 2 * scale) / (p_prev * d)
         weights.append(+w)
@@ -286,204 +278,6 @@ def _reference_rule(family: str, n: int, alpha, beta, bits: int):
     if family == "legendre":
         return _gauss_jacobi(n, mp.mpf(0), mp.mpf(0), bits)
     return _gauss_jacobi(n, alpha, beta, bits)
-
-
-#: Bits kept beyond the requested precision in every Cauchy sum.
-CAUCHY_GUARD_BITS = 40
-
-
-def _fixed(values, guard: int):
-    """Ints n_i and one exponent e with n_i * 2**e == values[i] exactly:
-    each mantissa shifted to the finest exponent among the nonzero values,
-    less ``guard`` further bits."""
-    parts = []
-    for v in values:
-        sign, man, exp, _ = (v if isinstance(v, mp.mpf) else mp.mpf(v))._mpf_
-        if not man and exp:
-            raise ValueError(f"Cauchy sums need finite values, got {v}")
-        parts.append((-man if sign else man, exp))
-    exps = [exp for man, exp in parts if man]
-    base = (min(exps) if exps else 0) - guard
-    return [man << (exp - base) for man, exp in parts], base
-
-
-def exact_parts(z) -> tuple:
-    """A real or complex z as ints and one exponent, exactly: ([m], e) or
-    ([re, im], e) with z = m 2^e, e the finer exponent of the nonzero
-    parts (0 when z is zero)."""
-    if not isinstance(z, (mp.mpf, mp.mpc)):
-        z = mp.mpmathify(z)
-    parts = (z._mpf_,) if isinstance(z, mp.mpf) else z._mpc_
-    mans = []
-    exps = []
-    for sign, man, exp, _ in parts:
-        if not man and exp:
-            raise ValueError(f"fixed-point sums need a finite z, got {z}")
-        mans.append(-man if sign else man)
-        exps.append(exp)
-    exp = min(e for m, e in zip(mans, exps) if m) if any(mans) else 0
-    return [m << (e - exp) if m else 0 for m, e in zip(mans, exps)], exp
-
-
-def to_mp(man, exp):
-    """man 2^exp rounded once to the ambient precision: an mpf for an int
-    man, an mpc for an (re, im) pair."""
-    if isinstance(man, int):
-        return mp.mpf((man, exp))
-    return mp.mpc(mp.mpf((man[0], exp)), mp.mpf((man[1], exp)))
-
-
-class CauchyKernel:
-    """The discrete Cauchy sum  S(z) = sum_i w_i / (z - x_i)  and its slope
-    S'(z) = -sum_i w_i / (z - x_i)^2, in Python-int fixed point.
-
-    Weights and points are stored exactly as ints, each at one common
-    exponent; the points carry ``CAUCHY_GUARD_BITS`` extra zero bits so
-    that most z convert exactly.  Every distance z - x_i carries a relative
-    error of at most 2^-(bits+guard) (see ``place``).  Each term is one
-    floor division at an output scale chosen from Sum |w| and the nearest
-    and farthest distance, so the truncation of all terms together stays
-    within 2^-(bits+guard) Sum |w/(z-x)|; the slope divides each term once
-    more by the same distance and is bounded the same way against
-    Sum |w/(z-x)^2|.  The exact int sums are converted to mpf once, at the
-    ambient precision p, so
-
-        |value - S(z)| <= 2^-p |S(z)| + 2^-(bits+guard-2) Sum |w/(z-x)|,
-
-    and the same for the slope, within the 2^-bits Sum |w/(z-x)| that a
-    sum of terms rounded to ``bits`` meets.  A complex z runs the same
-    loop with conj(d)/|d|^2.  A z on a point raises ZeroDivisionError.
-    ``place`` and ``sums`` expose the exact int sums, so that kernels over
-    one set of points can share a placement of z.
-    """
-
-    __slots__ = ("bits", "_w", "_w_exp", "_w_bits", "_x", "_x_exp",
-                 "_lo", "_hi", "_n_bits")
-
-    def __init__(self, weights: Sequence, points: Sequence, bits: int):
-        if len(weights) != len(points):
-            raise ValueError("a Cauchy kernel needs one weight per point")
-        self.bits = bits
-        self._w, self._w_exp = _fixed(weights, 0)
-        self._x, self._x_exp = _fixed(points, CAUCHY_GUARD_BITS)
-        # Sum |w| >= 2^_w_bits in units of 2^_w_exp.
-        self._w_bits = sum(abs(w) for w in self._w).bit_length() - 1
-        self._lo = min(self._x)
-        self._hi = max(self._x)
-        self._n_bits = len(self._x).bit_length()
-
-    def place(self, parts) -> tuple:
-        """z, given as its ``exact_parts``, and the points as ints on one
-        grid: (xs, zs, grid, near_bits, far_bits), z = zs * 2^grid with zs
-        one int for real z and two for complex z.  Kernels over the same
-        points accept each other's placements.
-
-        The grid starts as the points' own.  A z finer than that is
-        rounded onto it, and the grid is refined until z lies at least
-        2^(bits+guard+1) grid units from every point, or z converts
-        exactly.  Then, in grid units, 2^near_bits <= min |z - x| and
-        max |z - x| < 2^far_bits.
-        """
-        mans, exp = parts
-        complex_z = len(mans) == 2
-        grid = self._x_exp
-        xs, lo, hi = self._x, self._lo, self._hi
-        target = self.bits + CAUCHY_GUARD_BITS
-        while True:
-            if exp >= grid:
-                zs = [m << (exp - grid) for m in mans]
-                rounded = False
-            else:
-                shift = grid - exp
-                zs = [(m + (1 << (shift - 1))) >> shift for m in mans]
-                rounded = True
-            zr = zs[0]
-            im2 = zs[1] * zs[1] if complex_z else 0
-            far = max(abs(zr - lo), abs(zr - hi))
-            if zr > hi:
-                near = zr - hi
-            elif zr < lo:
-                near = lo - zr
-            else:
-                near = min(abs(zr - x) for x in xs)
-            if complex_z:
-                near_bits = ((near * near + im2).bit_length() - 1) // 2
-                far_bits = ((far * far + im2).bit_length() + 1) // 2
-            else:
-                near_bits = near.bit_length() - 1
-                far_bits = far.bit_length()
-            if rounded and near_bits <= target:
-                # Too close for this grid: refine it to what the distance
-                # needs, or all the way to z's own when it rounded onto
-                # a point.
-                finer = grid - (target + 2 - near_bits) if near_bits > 0 else exp
-                shift = self._x_exp - max(finer, exp)
-                grid = self._x_exp - shift
-                xs = [x << shift for x in self._x]
-                lo, hi = self._lo << shift, self._hi << shift
-                continue
-            if near_bits < 0:
-                raise ZeroDivisionError("z lies on a point of the Cauchy sum")
-            return xs, zs, grid, near_bits, far_bits
-
-    def sums(self, placed, slope: bool = False) -> tuple:
-        """S(z), and with ``slope`` also S'(z), at a ``place``d z as exact
-        ints: ((acc, out),) or ((acc, out), (acc_s, out_s)) with
-        S(z) ~ acc 2^out and S'(z) ~ acc_s 2^out_s, each acc one int for
-        real z and an (re, im) pair for complex z.
-
-        With Sum |w| >= 2^_w_bits in weight units, Sum |w/(z-x)| >=
-        2^(_w_bits - far) and Sum |w/(z-x)^2| >= 2^(_w_bits - 2 far).  A
-        term floor(w 2^s / d) is off by less than one unit (two for
-        complex z), and a slope term floor(t 2^k / d) with k = near by less
-        than two (four), so 2^s >= n 2^(bits+guard+2 + 2 far - near -
-        _w_bits) keeps both sums within 2^-(bits+guard) of their sums of
-        magnitudes.
-        """
-        xs, zs, grid, k, far_bits = placed
-        guard = self.bits + CAUCHY_GUARD_BITS + self._n_bits + 2
-        s = max(0, 2 * far_bits - k - self._w_bits + guard)
-        out = self._w_exp - grid - s
-        ws = self._w
-        if len(zs) == 1:
-            zr = zs[0]
-            if not slope:
-                return ((sum((w << s) // (zr - x) for w, x in zip(ws, xs)), out),)
-            acc = acc_s = 0
-            for w, x in zip(ws, xs):
-                d = zr - x
-                t = (w << s) // d
-                acc += t
-                acc_s += (t << k) // d
-            return (acc, out), (-acc_s, out - grid - k)
-        zr, zi = zs
-        im2 = zi * zi
-        acc_r = acc_i = slope_r = slope_i = 0
-        for w, x in zip(ws, xs):
-            dr = zr - x
-            norm = dr * dr + im2
-            w = w << s
-            tr = w * dr // norm
-            ti = w * -zi // norm
-            acc_r += tr
-            acc_i += ti
-            if slope:
-                slope_r += ((tr * dr + ti * zi) << k) // norm
-                slope_i += ((ti * dr - tr * zi) << k) // norm
-        if not slope:
-            return (((acc_r, acc_i), out),)
-        return ((acc_r, acc_i), out), ((-slope_r, -slope_i), out - grid - k)
-
-    def value(self, z):
-        """S(z) at the ambient precision: an mpf for real z, an mpc for
-        complex z."""
-        return to_mp(*self.sums(self.place(exact_parts(z)))[0])
-
-    def value_and_slope(self, z):
-        """S(z) and S'(z) from one pass over the points; S(z) is the same
-        number ``value`` returns."""
-        value, slope = self.sums(self.place(exact_parts(z)), slope=True)
-        return to_mp(*value), to_mp(*slope)
 
 
 @dataclass(frozen=True, eq=False)

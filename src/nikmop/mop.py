@@ -22,17 +22,17 @@ from dataclasses import dataclass, field
 
 from mpmath import mp
 
-from .measures import (
+from .fixed import (
+    FORM_GUARD_BITS,
     CauchyKernel,
-    DiscretizedMeasure,
-    MeasureError,
-    NikishinSystem,
-    _fixed,
-    _to_fixed,
+    FormKernel,
+    column_top,
     exact_parts,
+    fixed,
+    to_fixed,
     to_mp,
 )
-from .polys import poly_from_roots
+from .measures import DiscretizedMeasure, MeasureError, NikishinSystem
 from .precision import (
     lead_threshold,
     pivot_threshold,
@@ -251,20 +251,12 @@ def assemble_moment_system(pair: NikishinPair, index: IndexPair) -> list:
 SOLVE_GUARD_BITS = 64
 
 
-def _column_top(column) -> int:
-    """Exponent e with |v| < 2^e for every v in ``column``, read from the
-    largest entry's mantissa (0 for an all-zero column)."""
-    return max(
-        (v._mpf_[2] + v._mpf_[3] for v in column if v._mpf_[1]), default=0
-    )
-
-
 def _solve_fixed(mat: list, bits: int) -> tuple:
     """Solve mat[:, :-1] x = -mat[:, -1] for the n x (n + 1) moment matrix
     ``mat``; returns (x as mpf, smallest pivot ratio).
 
     Each column c is read exactly as ints at scale 2^(F - top_c),
-    F = bits + SOLVE_GUARD_BITS, top_c its ``_column_top``: an exact
+    F = bits + SOLVE_GUARD_BITS, top_c its ``column_top``: an exact
     power-of-two equilibration that puts every column's largest entry in
     [2^(F-1), 2^F).  Partial-pivot elimination runs in Python ints, each
     multiplier (a << F) // pivot and each update (f * p) >> F floored
@@ -277,15 +269,15 @@ def _solve_fixed(mat: list, bits: int) -> tuple:
     """
     n = len(mat)
     frac = bits + SOLVE_GUARD_BITS
-    tops = [_column_top([row[c] for row in mat]) for c in range(n + 1)]
+    tops = [column_top([row[c] for row in mat]) for c in range(n + 1)]
     shifts = [frac - top for top in tops]
-    a = [[_to_fixed(v, s) for v, s in zip(row, shifts)] for row in mat]
+    a = [[to_fixed(v, s) for v, s in zip(row, shifts)] for row in mat]
     for row in a:
         row[n] = -row[n]
     # Each column's largest entry converts exactly, so this is the largest
     # |entry| of mat[:, :-1].
     scale = max(
-        mp.mpf((max(abs(row[c]) for row in a), tops[c] - frac))
+        to_mp(max(abs(row[c]) for row in a), tops[c] - frac)
         for c in range(n)
     )
     if not scale:
@@ -298,7 +290,7 @@ def _solve_fixed(mat: list, bits: int) -> tuple:
     for c in range(n):
         p = max(range(c, n), key=lambda r: abs(a[r][c]))
         piv = a[p][c]
-        ratio = mp.mpf((abs(piv), tops[c] - frac)) / scale
+        ratio = to_mp(abs(piv), tops[c] - frac) / scale
         min_ratio = min(min_ratio, ratio)
         if ratio < floor:
             raise NormalityViolation(
@@ -322,190 +314,8 @@ def _solve_fixed(mat: list, bits: int) -> tuple:
             acc -= row[c] * y[c]
         y[r] = acc // row[r]
     return [
-        mp.mpf((v, tops[n] - tops[c] - frac)) for c, v in enumerate(y)
+        to_mp(v, tops[n] - tops[c] - frac) for c, v in enumerate(y)
     ], min_ratio
-
-
-#: Fraction bits kept beyond the working precision in form evaluations
-#: and scan grids.
-FORM_GUARD_BITS = 64
-
-
-class _Block:
-    """One polynomial block of a form: coefficients c_i = cs[i] 2^exp as
-    exact ints, and per magnitude class of z the Horner unit 2^E with the
-    coefficients floored to it, highest power first.
-
-    With 2^zlo <= |z| < 2^(zlo+2) and 2^tops[i] <= |c_i|, 2^M <=
-    Sum |c_i z^i| and 2^M' <= Sum i |c_i z^(i-1)|.  A Horner pass at a
-    unit 2^E floors each product and each coefficient once, so the value
-    carries less than 3 (d+1) max(1, |z|)^d units and the slope less than
-    3 (d+1)^2 max(1, |z|)^d; E is set to put both below 2^-frac times
-    their sums of magnitudes.  At z = 0 the unit is 2^exp and p(0), p'(0)
-    are c_0, c_1 exactly.
-    """
-
-    __slots__ = ("cs", "tops", "exp", "frac", "_units")
-
-    def __init__(self, cs, exp: int, frac: int):
-        self.cs = cs
-        self.exp = exp
-        self.frac = frac
-        self.tops = [abs(c).bit_length() - 1 + exp if c else None for c in cs]
-        self._units = {}
-
-    def at(self, zlo):
-        """(E, coefficients at 2^E, highest first) for |z| in
-        [2^zlo, 2^(zlo+2)), or for z = 0 when ``zlo`` is None."""
-        if zlo not in self._units:
-            unit = self.exp
-            if zlo is not None:
-                d = len(self.cs) - 1
-                terms = [(i, t) for i, t in enumerate(self.tops) if t is not None]
-                low = max(t + i * zlo for i, t in terms)
-                if d:
-                    low = min(low, max(t + (i - 1) * zlo for i, t in terms if i))
-                unit = min(unit, low - self.frac - 2 - 2 * (d + 1).bit_length()
-                           - d * max(0, zlo + 2))
-            shift = self.exp - unit
-            cs = [c << shift if shift >= 0 else c >> -shift
-                  for c in reversed(self.cs)]
-            self._units[zlo] = (unit, cs)
-        return self._units[zlo]
-
-
-def _horner(cs, zs, sh: int, slope: bool):
-    """p(z), and p'(z) with ``slope`` (else None), in units of the
-    coefficients ``cs`` (highest power first) for z = zs 2^-sh, zs one int
-    or an (re, im) pair; each product floored once."""
-    if len(zs) == 1:
-        (z,) = zs
-        acc = ds = 0
-        if not slope:
-            for c in cs:
-                acc = ((acc * z) >> sh) + c
-            return acc, None
-        for c in cs:
-            ds = ((ds * z) >> sh) + acc
-            acc = ((acc * z) >> sh) + c
-        return acc, ds
-    zr, zi = zs
-    ar = ai = sr = si = 0
-    for c in cs:
-        if slope:
-            sr, si = ((sr * zr - si * zi) >> sh) + ar, ((sr * zi + si * zr) >> sh) + ai
-        ar, ai = ((ar * zr - ai * zi) >> sh) + c, (ar * zi + ai * zr) >> sh
-    return (ar, ai), (sr, si) if slope else None
-
-
-def _mul(a, b):
-    """Exact product of two ints or of two (re, im) pairs."""
-    if isinstance(a, int):
-        return a * b
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def _exact_sum(parts, complex_z: bool):
-    """Sum of the (man, exp) pairs, mans all ints or all (re, im) pairs,
-    exactly, rounded once to the ambient precision."""
-    if not parts:
-        return mp.mpc(0) if complex_z else mp.mpf(0)
-    if len(parts) == 1:
-        return to_mp(*parts[0])
-    low = min(e for _, e in parts)
-    if complex_z:
-        return to_mp((sum(m[0] << (e - low) for m, e in parts),
-                      sum(m[1] << (e - low) for m, e in parts)), low)
-    return to_mp(sum(m << (e - low) for m, e in parts), low)
-
-
-class FormKernel:
-    """The form  A(z) = sum_k p_k(z) S_k(z)  and its slope, in Python-int
-    fixed point: polynomial blocks p_k times Cauchy sums S_k over one set
-    of points (S_k = 1 for a bare block).
-
-    The coefficients of all blocks are held exactly as ints at one
-    exponent.  z is read once to ``bits + FORM_GUARD_BITS`` bits relative
-    to |z| for Horner (``_Block``) and placed once on the points' grid
-    for every S_k (``CauchyKernel.place``).  Each block and its slope come
-    within (2d+2) 2^-(bits+guard) of their sums of magnitudes Sum |c_i z^i|
-    and Sum i |c_i z^(i-1)|; each S_k within 2^-(bits+38) of Sum |w/(z-x)|
-    (and its slope of Sum |w/(z-x)^2|).  The products p_k S_k and their
-    sum are exact ints, rounded once to the ambient precision p, so
-
-        |value - A(z)| <= 2^-p |A(z)| + 2^-(bits+36) Sigma,
-
-    Sigma = sum_k Sum |c_i z^i| Sum |w/(z-x)|, the sum of the magnitudes
-    of the terms of A(z); the slope meets the same bound against the sum
-    of the magnitudes of the terms of A'(z).  A complex z gives an mpc.
-    """
-
-    __slots__ = ("bits", "_terms", "_place")
-
-    def __init__(self, terms, bits: int):
-        """``terms``: (coefficients ascending, CauchyKernel or None) per
-        block; blocks without coefficients are dropped."""
-        self.bits = bits
-        terms = [(tuple(cs), kernel) for cs, kernel in terms if cs]
-        ints, exp = _fixed([c for cs, _ in terms for c in cs], 0)
-        self._terms = []
-        pos = 0
-        for cs, kernel in terms:
-            block = _Block(ints[pos : pos + len(cs)], exp, bits + FORM_GUARD_BITS)
-            pos += len(cs)
-            self._terms.append((block, kernel))
-        kernels = [kernel for _, kernel in terms if kernel is not None]
-        self._place = kernels[0].place if kernels else None
-
-    def __call__(self, z, slope: bool = False, factors=None):
-        """A(z) at the ambient precision, or (A(z), A'(z)) with ``slope``.
-
-        ``factors``, one real mpf per block in block order, stand in for
-        the S_k(z) (and for the 1 of a bare block): the value is then
-        sum_k p_k(z) factors[k], still one exact int rounded once.
-        """
-        parts = exact_parts(z)
-        placed = None
-        if self._place is not None and factors is None:
-            placed = self._place(parts)
-        zs, g = parts
-        top = max(abs(v) for v in zs).bit_length()
-        # |z| lies in [2^zlo, 2^(zlo+2)).
-        zlo = top - 1 + g if top else None
-        cut = top - self.bits - FORM_GUARD_BITS
-        if cut > 0:
-            zs = [(v + (1 << (cut - 1))) >> cut for v in zs]
-            g += cut
-        if g > 0:
-            zs = [v << g for v in zs]
-            g = 0
-        vals = []
-        slopes = []
-        for i, (block, kernel) in enumerate(self._terms):
-            e, cs = block.at(zlo)
-            p, dp = _horner(cs, zs, -g, slope)
-            if factors is not None:
-                (f,), f_exp = exact_parts(factors[i])
-                vals.append((_mul(p, f), e + f_exp))
-                if slope:
-                    slopes.append((_mul(dp, f), e + f_exp))
-                continue
-            if kernel is None:
-                vals.append((p, e))
-                if slope:
-                    slopes.append((dp, e))
-                continue
-            sums = kernel.sums(placed, slope)
-            s, out = sums[0]
-            vals.append((_mul(p, s), e + out))
-            if slope:
-                ds, out_s = sums[1]
-                slopes.append((_mul(dp, s), e + out))
-                slopes.append((_mul(p, ds), e + out_s))
-        complex_z = len(zs) == 2
-        if not slope:
-            return _exact_sum(vals, complex_z)
-        return _exact_sum(vals, complex_z), _exact_sum(slopes, complex_z)
 
 
 @dataclass(eq=False)
@@ -740,10 +550,7 @@ class ZeroSet:
 
     @functools.cached_property
     def _fixed_zeros(self) -> tuple:
-        return _fixed(self.zeros, 0)
-
-    def poly_coeffs(self) -> tuple:
-        return poly_from_roots(self.zeros)
+        return fixed(self.zeros, 0)
 
 
 SCAN_GRID_FACTOR = 16
@@ -805,18 +612,18 @@ def _scan_grid(lo, hi, size: int, bits: int) -> list:
     """
     frac = bits + FORM_GUARD_BITS
     with working(frac + 8):
-        c1 = _to_fixed(mp.cos(mp.pi / (2 * size)), frac)
+        c1 = to_fixed(mp.cos(mp.pi / (2 * size)), frac)
     two_c2 = 2 * (((2 * c1 * c1) >> frac) - (1 << frac))
     cosines = [c1]
     prev, cur = c1, c1
     for _ in range(size - 1):
         prev, cur = cur, ((two_c2 * cur) >> frac) - prev
         cosines.append(cur)
-    (lo_i, hi_i), exp = _fixed((lo, hi), 0)
+    (lo_i, hi_i), exp = fixed((lo, hi), 0)
     mid = (lo_i + hi_i) << frac
     rad = hi_i - lo_i
     out = exp - 1 - frac
-    return [mp.mpf((mid + rad * c, out)) for c in reversed(cosines)]
+    return [to_mp(mid + rad * c, out) for c in reversed(cosines)]
 
 
 def _merge_sorted(a: list, b: list) -> list:

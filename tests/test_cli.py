@@ -6,7 +6,7 @@ import os
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nikmop import cli
@@ -544,8 +544,18 @@ def mutated_configs(draw):
     return data
 
 
+# The base hull [0, 2] puts a zero beside a value with a positive binary
+# exponent; the scan grid must read that zero as the int 0.
+ZERO_ENDPOINT_CONFIG = config_dict(
+    kind="diagnostics", precision_bits=64, quadrature_nodes=8, max_size=2,
+    system1=[dict(BASE_SPEC, interval=[0, 2]), dict(UP_SPEC, interval=[3, 4])],
+    system2=[dict(BASE_SPEC, interval=[0, 2]), dict(DOWN_SPEC, interval=[-2, -1])],
+)
+
+
 @settings(deadline=None, max_examples=25)
 @given(data=mutated_configs())
+@example(data=ZERO_ENDPOINT_CONFIG)
 def test_exit_code_contract_under_mutated_configs(data):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")
@@ -558,6 +568,8 @@ def test_exit_code_contract_under_mutated_configs(data):
             code = main(["--config", path, "--out", out_dir])
         assert code in (0, 1, 2, 3), code
         assert "Traceback" not in err.getvalue()
+        if data == ZERO_ENDPOINT_CONFIG:
+            assert code == 0, err.getvalue()
         if code == 1:
             assert os.path.exists(os.path.join(out_dir, "summary.json"))
         if code == 3:

@@ -9,7 +9,6 @@ from nikmop.diagnostics import (
     check_zero_counts,
     expected_epsilon_ratio,
     form_integral_residual,
-    interlacing_report,
     mass_point_attraction,
     orthogonality_residuals,
     shift_sign_factor,
@@ -53,14 +52,6 @@ def test_check_interlacing_input_validation():
 def test_alternating_split_always_interlaces(xs):
     xs = sorted(xs)
     assert check_interlacing(xs[0::2], xs[1::2])
-
-
-def test_interlacing_report_records_violation():
-    rep = interlacing_report(0, (1.0, 4.0), (2.0, 3.0))
-    assert rep.status == "fail"
-    assert not rep.interlaced
-    assert rep.first_violation is not None
-    assert interlacing_report(0, (1.0, 3.0), (2.0, 4.0)).status == "pass"
 
 
 def test_support_gaps_only_from_off_interval_atoms():

@@ -11,8 +11,8 @@ from mpmath import mp
 
 import nikmop
 from nikmop import measures
+from nikmop.fixed import CauchyKernel
 from nikmop.measures import (
-    CauchyKernel,
     MeasureError,
     NikishinSystem,
     QuadratureError,
@@ -22,16 +22,23 @@ from nikmop.measures import (
     check_cauchy_identity,
     nested_cauchy_transform,
 )
-from nikmop.polys import (
+from nikmop.precision import refine_tolerance, working
+
+from conftest import (
+    ATOM_BASE,
+    BASE,
+    BITS,
+    DOWN1,
+    NODES,
+    UP1,
+    UP2,
+    make_pair,
     poly_degree,
     poly_derivative,
     poly_eval,
     poly_eval_from_roots,
     poly_from_roots,
 )
-from nikmop.precision import refine_tolerance, working
-
-from conftest import ATOM_BASE, BASE, BITS, DOWN1, NODES, UP1, UP2, make_pair
 
 FLOOR = mp.mpf(10) ** -60
 

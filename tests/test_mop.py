@@ -15,10 +15,20 @@ from nikmop.mop import (
     solve_cached,
     solve_mop,
 )
-from nikmop.polys import poly_eval, poly_eval_and_slope, poly_eval_from_roots
 from nikmop.precision import pivot_threshold, refine_tolerance, working
 
-from conftest import BASE, BITS, HI_BITS, UP1, make_pair, monic_chebyshev_u
+from conftest import (
+    BASE,
+    BITS,
+    HI_BITS,
+    UP1,
+    make_pair,
+    monic_chebyshev_u,
+    poly_eval,
+    poly_eval_and_slope,
+    poly_eval_from_roots,
+    poly_from_roots,
+)
 
 FLOOR = mp.mpf(10) ** -60
 
@@ -340,7 +350,7 @@ def test_zero_set_poly_eval_matches_coeffs(pair11):
     sol = solve_cached(pair11, IndexPair((3, 2), (3, 1)))
     zs = extract_cached(sol, 0)
     with working(BITS):
-        coeffs = zs.poly_coeffs()
+        coeffs = poly_from_roots(zs.zeros)
         for x in (mp.mpf("-0.3"), mp.mpf("1.7"), mp.mpc("0.2", "0.8")):
             a = zs.poly_eval(x)
             b = poly_eval(coeffs, x)
