@@ -20,7 +20,7 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 from mpmath import mp
 
@@ -45,8 +45,10 @@ from .diagnostics import (
     check_zero_counts,
     expected_epsilon_ratio,
     sign_configuration,
+    zero_separation,
 )
 from .equilibrium import (
+    DEFAULT_TOL,
     EquilibriumError,
     build_interaction_matrix,
     cumulative_ratios,
@@ -98,7 +100,7 @@ OUT_ENV = "NIKMOP_OUT"
 DEFAULT_TOLERANCES = {
     "mop": {},
     "diagnostics": {},
-    "equilibrium": {"residual": 1e-4, "restart_mass": 1e-3},
+    "equilibrium": {"residual": DEFAULT_TOL, "restart_mass": 1e-3},
     "nth_root": {},
     "ratio": {
         "stabilization_factor": 0.1,
@@ -123,9 +125,6 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
-_RAY_KEYS = {"start_size", "positions", "shift_position", "steps", "level"}
-
-
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
@@ -141,75 +140,6 @@ def _is_finite(value) -> bool:
         return math.isfinite(value)
     except OverflowError:  # an int beyond the float range
         return False
-
-
-def _check_ranges(data: dict, m1: int, m2: int) -> None:
-    """Fields whose valid range follows from the chain lengths m1, m2."""
-    shift = data.get("shift")
-    if shift is not None and not (
-        isinstance(shift, (list, tuple))
-        and len(shift) == 2
-        and all(_is_int(v) for v in shift)
-        and 0 <= shift[0] <= m1
-        and 0 <= shift[1] <= m2
-    ):
-        raise ConfigError(
-            f"shift must be two integers in [0, {m1}] x [0, {m2}], got {shift!r}"
-        )
-    ray = data.get("ray", {})
-    if not isinstance(ray, dict):
-        ray = {}
-    level = ray.get("level")
-    if level is not None and not (_is_int(level) and -m2 <= level <= m1):
-        raise ConfigError(
-            f"ray.level must be an integer in [{-m2}, {m1}], got {level!r}"
-        )
-    start = ray.get("start_size")
-    if start is not None and not (
-        _is_int(start) and start > 0 and start % (m1 + 1) == 0
-    ):
-        raise ConfigError(
-            f"ray.start_size must be a positive multiple of {m1 + 1}, got {start!r}"
-        )
-    # Trends and stabilization compare ray samples, so they need two.
-    steps = ray.get("steps")
-    if steps is not None and not (_is_int(steps) and steps >= 2):
-        raise ConfigError(f"ray.steps must be an integer >= 2, got {steps!r}")
-    shift_position = ray.get("shift_position")
-    if shift_position is not None and not (
-        _is_int(shift_position) and shift_position >= 0
-    ):
-        raise ConfigError(
-            f"ray.shift_position must be an integer >= 0, got {shift_position!r}"
-        )
-    positions = ray.get("positions")
-    if positions is not None and not (
-        isinstance(positions, (list, tuple))
-        and len(positions) >= 2
-        and all(_is_int(r) and r >= 0 for r in positions)
-    ):
-        raise ConfigError(
-            "ray.positions must be at least two integers >= 0, "
-            f"got {positions!r}"
-        )
-    ratios = data.get("ratios", {})
-    if ratios:
-        if set(ratios) != {"p1", "p2"}:
-            raise ConfigError("ratios needs both p1 and p2")
-        for key, want in (("p1", m1 + 1), ("p2", m2 + 1)):
-            vec = ratios[key]
-            if not (
-                isinstance(vec, (list, tuple))
-                and len(vec) == want
-                and all(_is_number(v) for v in vec)
-            ):
-                raise ConfigError(
-                    f"ratios.{key} must be {want} numbers, one per generator"
-                )
-        try:
-            cumulative_ratios(ratios["p1"], ratios["p2"])
-        except ValueError as exc:
-            raise ConfigError(f"ratios: {exc}") from exc
 
 
 def _config_point(i: int, value) -> complex:
@@ -229,6 +159,9 @@ def _config_point(i: int, value) -> complex:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment.  The fields are the config's keys and their
+    defaults; ``__post_init__`` holds every check of their values."""
+
     kind: str
     system1: tuple
     system2: tuple
@@ -254,13 +187,10 @@ class ExperimentConfig:
             raise ConfigError("system1 and system2 need at least a base spec")
         if self.system1[0].to_dict() != self.system2[0].to_dict():
             raise ConfigError("the two systems must share their base spec")
-        for name, val in (
-            ("precision_bits", self.precision_bits),
-            ("quadrature_nodes", self.quadrature_nodes),
-            ("max_size", self.max_size),
-            ("panels", self.panels),
-            ("n_max", self.n_max),
-        ):
+        m1, m2 = len(self.system1) - 1, len(self.system2) - 1
+        for name in ("precision_bits", "quadrature_nodes", "max_size",
+                     "panels", "n_max"):
+            val = getattr(self, name)
             if not _is_int(val) or val <= 0:
                 raise ConfigError(f"{name} must be a positive integer")
         if self.precision_bits < MIN_PRECISION_BITS:
@@ -277,35 +207,111 @@ class ExperimentConfig:
             raise ConfigError(
                 f"hex_floats must be true or false, got {self.hex_floats!r}"
             )
-        unknown = set(self.ray) - _RAY_KEYS
-        if unknown:
-            raise ConfigError(f"unknown keys: ray.{sorted(unknown)[0]}")
-        unknown = set(self.tolerances) - set(DEFAULT_TOLERANCES[self.kind])
-        if unknown:
-            raise ConfigError(f"unknown keys: tolerances.{sorted(unknown)[0]}")
+        ray_checks = {
+            "level": (lambda v: _is_int(v) and -m2 <= v <= m1,
+                      f"an integer in [{-m2}, {m1}]"),
+            "start_size": (lambda v: _is_int(v) and v > 0 and v % (m1 + 1) == 0,
+                           f"a positive multiple of {m1 + 1}"),
+            # Trends and stabilization compare ray samples, so they need two.
+            "steps": (lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
+            "shift_position": (lambda v: _is_int(v) and v >= 0,
+                               "an integer >= 0"),
+            "positions": (
+                lambda v: isinstance(v, (list, tuple)) and len(v) >= 2
+                and all(_is_int(r) and r >= 0 for r in v),
+                "at least two integers >= 0",
+            ),
+        }
+        for name, allowed in (
+            ("ray", set(ray_checks)),
+            ("ratios", {"p1", "p2"}),
+            ("tolerances", set(DEFAULT_TOLERANCES[self.kind])),
+        ):
+            value = getattr(self, name)
+            if not isinstance(value, dict):
+                raise ConfigError(f"{name} must be an object")
+            unknown = set(value) - allowed
+            if unknown:
+                raise ConfigError(f"unknown keys: {name}.{sorted(unknown)[0]}")
+        for key, (valid, want) in ray_checks.items():
+            if key in self.ray and not valid(self.ray[key]):
+                raise ConfigError(
+                    f"ray.{key} must be {want}, got {self.ray[key]!r}"
+                )
         for name, value in sorted(self.tolerances.items()):
             if not _is_finite(value):
                 raise ConfigError(
                     f"tolerances.{name} must be a finite number, got {value!r}"
                 )
+        if self.index is not None:
+            n1, n2 = self.index
+            if not all(
+                isinstance(n, (list, tuple)) and all(_is_int(v) for v in n)
+                for n in (n1, n2)
+            ):
+                raise ConfigError(
+                    f"index: n1 and n2 must be lists of integers, got {n1!r} "
+                    f"and {n2!r}"
+                )
+            try:
+                index = IndexPair(tuple(n1), tuple(n2))
+            except ValueError as exc:
+                raise ConfigError(f"index: {exc}") from exc
+            if (index.m1, index.m2) != (m1, m2):
+                raise ConfigError(
+                    "index: n1 and n2 need one entry per generator of "
+                    f"system1 ({m1 + 1}) and system2 ({m2 + 1})"
+                )
+            object.__setattr__(self, "index", (index.n1, index.n2))
+        shift = self.shift
+        if shift is not None:
+            if not (
+                isinstance(shift, (list, tuple))
+                and len(shift) == 2
+                and all(_is_int(v) for v in shift)
+                and 0 <= shift[0] <= m1
+                and 0 <= shift[1] <= m2
+            ):
+                raise ConfigError(
+                    f"shift must be two integers in [0, {m1}] x [0, {m2}], "
+                    f"got {shift!r}"
+                )
+            object.__setattr__(self, "shift", tuple(shift))
+        if self.ratios:
+            if set(self.ratios) != {"p1", "p2"}:
+                raise ConfigError("ratios needs both p1 and p2")
+            for key, want in (("p1", m1 + 1), ("p2", m2 + 1)):
+                vec = self.ratios[key]
+                if not (
+                    isinstance(vec, (list, tuple))
+                    and len(vec) == want
+                    and all(_is_number(v) for v in vec)
+                ):
+                    raise ConfigError(
+                        f"ratios.{key} must be {want} numbers, one per generator"
+                    )
+            try:
+                cumulative_ratios(self.ratios["p1"], self.ratios["p2"])
+            except ValueError as exc:
+                raise ConfigError(f"ratios: {exc}") from exc
+            object.__setattr__(
+                self, "ratios", {k: tuple(v) for k, v in self.ratios.items()}
+            )
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":
-        allowed = {
-            "kind", "system1", "system2", "precision_bits",
-            "quadrature_nodes", "max_size", "index", "ray", "shift",
-            "points", "ratios", "panels", "n_max", "seed", "tolerances",
-            "output_dir", "hex_floats",
-        }
-        unknown = set(data) - allowed
+        """Parse a JSON config: the weight specs of both systems, the
+        index object and the points.  Every other key goes to the
+        constructor as it is, and a key left out takes its field's
+        default."""
+        known = fields(ExperimentConfig)
+        unknown = set(data) - {f.name for f in known}
         if unknown:
             raise ConfigError(f"unknown keys: {sorted(unknown)[0]}")
-        for req in ("kind", "system1", "system2"):
-            if req not in data:
-                raise ConfigError(f"missing required key: {req}")
-        for key in ("ray", "tolerances", "ratios"):
-            if not isinstance(data.get(key, {}), dict):
-                raise ConfigError(f"{key} must be an object")
+        for f in known:
+            if f.default is MISSING and f.default_factory is MISSING \
+                    and f.name not in data:
+                raise ConfigError(f"missing required key: {f.name}")
 
         def specs(key):
             out = []
@@ -328,77 +334,35 @@ class ExperimentConfig:
                 raise ConfigError(f"{key}: {exc}") from exc
             return tuple(out)
 
-        system1 = specs("system1")
-        system2 = specs("system2")
-
-        index = None
-        if data.get("index") is not None:
-            idx = data["index"]
+        parsed = dict(data, system1=specs("system1"), system2=specs("system2"))
+        idx = data.get("index")
+        if idx is not None:
             extra = set(idx) - {"n1", "n2"}
             if extra:
                 raise ConfigError(f"unknown keys: index.{sorted(extra)[0]}")
-            try:
-                checked = IndexPair(tuple(idx["n1"]), tuple(idx["n2"]))
-            except ValueError as exc:
-                raise ConfigError(f"index: {exc}") from exc
-            if (len(checked.n1), len(checked.n2)) != (
-                len(data["system1"]), len(data["system2"])
-            ):
-                raise ConfigError(
-                    "index: n1 and n2 need one entry per generator of "
-                    f"system1 ({len(data['system1'])}) and system2 "
-                    f"({len(data['system2'])})"
-                )
-            index = (checked.n1, checked.n2)
-        ratios = data.get("ratios", {})
-        extra = set(ratios) - {"p1", "p2"}
-        if extra:
-            raise ConfigError(f"unknown keys: ratios.{sorted(extra)[0]}")
-        _check_ranges(data, len(system1) - 1, len(system2) - 1)
-        return ExperimentConfig(
-            kind=data["kind"],
-            system1=system1,
-            system2=system2,
-            precision_bits=data.get("precision_bits", 256),
-            quadrature_nodes=data.get("quadrature_nodes", 128),
-            max_size=data.get("max_size", 6),
-            index=index,
-            ray=dict(data.get("ray", {})),
-            shift=tuple(data["shift"]) if data.get("shift") is not None else None,
-            points=tuple(
-                _config_point(i, p) for i, p in enumerate(data.get("points", ()))
-            ),
-            ratios={k: tuple(v) for k, v in ratios.items()},
-            panels=data.get("panels", 256),
-            n_max=data.get("n_max", 6),
-            seed=data.get("seed", 0),
-            tolerances=dict(data.get("tolerances", {})),
-            output_dir=data.get("output_dir"),
-            hex_floats=data.get("hex_floats", False),
-        )
+            parsed["index"] = (idx["n1"], idx["n2"])
+        if "points" in data:
+            parsed["points"] = tuple(
+                _config_point(i, p) for i, p in enumerate(data["points"])
+            )
+        return ExperimentConfig(**parsed)
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "system1": [s.to_dict() for s in self.system1],
-            "system2": [s.to_dict() for s in self.system2],
-            "precision_bits": self.precision_bits,
-            "quadrature_nodes": self.quadrature_nodes,
-            "max_size": self.max_size,
-            "index": None if self.index is None else {
+        """The config as JSON values, one entry per field."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out.update(
+            system1=[s.to_dict() for s in self.system1],
+            system2=[s.to_dict() for s in self.system2],
+            index=None if self.index is None else {
                 "n1": list(self.index[0]), "n2": list(self.index[1]),
             },
-            "ray": dict(self.ray),
-            "shift": None if self.shift is None else list(self.shift),
-            "points": [[p.real, p.imag] for p in self.points],
-            "ratios": {k: list(v) for k, v in self.ratios.items()},
-            "panels": self.panels,
-            "n_max": self.n_max,
-            "seed": self.seed,
-            "tolerances": dict(self.tolerances),
-            "output_dir": self.output_dir,
-            "hex_floats": self.hex_floats,
-        }
+            ray=dict(self.ray),
+            shift=None if self.shift is None else list(self.shift),
+            points=[[p.real, p.imag] for p in self.points],
+            ratios={k: list(v) for k, v in self.ratios.items()},
+            tolerances=dict(self.tolerances),
+        )
+        return out
 
     def tolerance(self, name: str) -> float:
         if name in self.tolerances:
@@ -479,7 +443,7 @@ def solve_config_equilibrium(config: ExperimentConfig, pair: NikishinPair, init=
         matrix,
         equilibrium_sets(pair),
         panels_per_set=config.panels,
-        tol=config.tolerance("residual") if config.kind == "equilibrium" else 1e-4,
+        tol=config.tolerance("residual") if config.kind == "equilibrium" else DEFAULT_TOL,
         init=init,
         seed=config.seed if seed is None else seed,
     )
@@ -536,6 +500,12 @@ def run_mop(config: ExperimentConfig, pair: NikishinPair) -> dict:
 def run_diagnostics(config: ExperimentConfig, pair: NikishinPair) -> dict:
     lattice = decreasing_indices(pair.m1, pair.m2, config.max_size)
     delta = sign_configuration(pair)
+    # Coincident zeros of an index and its shift are a precision failure,
+    # told apart at the separation the zero-count check demands.
+    ties = {
+        j: zero_separation(pair, j, pair.precision_bits)
+        for j in range(-pair.m2, pair.m1 + 1)
+    }
     zero_ok = True
     interlace_ok = True
     epsilon_ok = True
@@ -562,7 +532,7 @@ def run_diagnostics(config: ExperimentConfig, pair: NikishinPair) -> dict:
              "zero_counts", report.passed, "")
         )
         shifts = (
-            [tuple(config.shift)] if config.shift is not None
+            [config.shift] if config.shift is not None
             else [(l1, l2) for l1 in range(pair.m1 + 1) for l2 in range(pair.m2 + 1)]
         )
         for l1, l2 in shifts:
@@ -573,7 +543,9 @@ def run_diagnostics(config: ExperimentConfig, pair: NikishinPair) -> dict:
             vd_s = varying(shifted)
             for j in range(-pair.m2, pair.m1 + 1):
                 if index.n1[pair.m1] >= 2:
-                    ok = check_interlacing(zsets[j].zeros, zsets_s[j].zeros)
+                    ok = check_interlacing(
+                        zsets[j].zeros, zsets_s[j].zeros, tie_tol=ties[j]
+                    )
                     interlace_ok = interlace_ok and ok
                     rows.append(
                         (json.dumps(list(index.n1)), json.dumps(list(index.n2)),
@@ -923,10 +895,8 @@ def main(argv=None) -> int:
         return 2
     try:
         config = ExperimentConfig.from_dict(data)
-        if args.precision:
-            merged = config.to_dict()
-            merged["precision_bits"] = args.precision
-            config = ExperimentConfig.from_dict(merged)
+        if args.precision is not None:
+            config = replace(config, precision_bits=args.precision)
     except (ConfigError, MeasureError, TypeError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

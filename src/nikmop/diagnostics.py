@@ -52,6 +52,14 @@ def check_interlacing(zs1, zs2, tie_tol=0) -> bool:
     return True
 
 
+def zero_separation(pair, j: int, bits: int):
+    """Distance at or below which two zeros at level j count as one: ten
+    refinement tolerances at the scale of hull(j)."""
+    lo, hi = pair.hull(j)
+    with working(bits):
+        return 10 * refine_tolerance(bits) * max(1, abs(lo), abs(hi))
+
+
 def support_gaps(measure: DiscretizedMeasure) -> tuple:
     """Open components of hull(measure) minus its support, as (lo, hi)
     pairs.  The support is the weight interval together with any mass
@@ -111,19 +119,18 @@ def check_zero_counts(solution: MopSolution, zero_sets: dict) -> ZeroCountReport
     simple_ok = True
     gap_ok = True
     with working(bits):
-        tol = refine_tolerance(bits)
         for j in range(-index.m2, index.m1 + 1):
             zs = zero_sets[j]
             # A level whose blocks are all empty holds an identically zero
             # form; the count statement is vacuous there.
             counts[j] = (max(index.zero_count(j), 0), len(zs.zeros))
             lo, hi = pair.hull(j)
-            scale = max(1, abs(lo), abs(hi))
+            separation = zero_separation(pair, j, bits)
             for r in zs.zeros:
                 if not lo < r < hi:
                     interior_ok = False
             for a, b in zip(zs.zeros, zs.zeros[1:]):
-                if b - a <= 10 * tol * scale:
+                if b - a <= separation:
                     simple_ok = False
             for glo, ghi in support_gaps(pair.measure(j)):
                 inside = sum(1 for r in zs.zeros if glo < r < ghi)
@@ -168,22 +175,15 @@ def _orient(delta: dict, k: int) -> int:
 def shift_sign_factor(delta: dict, l1: int, l2: int, j: int) -> int:
     """Single-level factor by which the varying-measure sign at level j
     reacts to the index shift (l1; l2), as a function of the interval
-    orientations.  Three regimes by total shift size."""
-    if l1 + l2 >= 2:
+    orientations.  Two regimes: a nonzero shift, whose middle range
+    -l2+1 <= j <= l1-1 is empty when l1 + l2 = 1, and the zero shift."""
+    if l1 + l2 >= 1:
         if j >= l1 + 2:
             return 1
         if j in (l1, l1 + 1):
             return _orient(delta, j - 1)
         if -l2 + 1 <= j <= l1 - 1:
             return -_orient(delta, j - 1) * _orient(delta, j)
-        if j in (-l2 - 1, -l2):
-            return -_orient(delta, j)
-        return 1
-    if l1 + l2 == 1:
-        if j >= l1 + 2:
-            return 1
-        if j in (l1, l1 + 1):
-            return _orient(delta, j - 1)
         if j in (-l2 - 1, -l2):
             return -_orient(delta, j)
         return 1

@@ -161,13 +161,6 @@ class ComponentGrid:
         return mids
 
     @property
-    def widths(self) -> np.ndarray:
-        w = np.diff(self.edges)
-        if self.atoms:
-            return np.concatenate([w, np.zeros(len(self.atoms))])
-        return w
-
-    @property
     def cells(self) -> int:
         return len(self.edges) - 1 + len(self.atoms)
 
@@ -230,7 +223,6 @@ class EquilibriumSolution:
     grids: dict
     masses: dict
     omega: dict
-    energy: float
     residual: float
     iterations: int
 
@@ -429,7 +421,6 @@ def solve_equilibrium(
         grids=grids,
         masses=_split(w, offsets, levels),
         omega=omega,
-        energy=float(w @ q @ w),
         residual=residual,
         iterations=passes,
     )

@@ -245,23 +245,7 @@ def staircase_sequence(m: int, n_max: int) -> tuple:
     return tuple(staircase_component(m, r) for r in range(n_max + 1))
 
 
-def validate_complete_ordered(seq) -> None:
-    """Sizes must be 0..len-1 and components must grow monotonically
-    slotwise; raises ValueError otherwise."""
-    for r, comp in enumerate(seq):
-        if sum(comp) != r:
-            raise ValueError(f"entry {r} has size {sum(comp)}, expected {r}")
-        if any(c < 0 for c in comp):
-            raise ValueError(f"entry {r} has a negative component")
-        if list(comp) != sorted(comp, reverse=True):
-            raise ValueError(f"entry {r} is not non-increasing")
-        if r and any(a < b for a, b in zip(comp, seq[r - 1])):
-            raise ValueError(f"entry {r} is not ordered above entry {r - 1}")
-
-
-def biorthogonality_matrix(
-    pair: NikishinPair, n_max: int, seq1=None, seq2=None
-) -> dict:
+def biorthogonality_matrix(pair: NikishinPair, n_max: int) -> dict:
     """Pairing matrix of the two families of monic solutions over the
     staircase sequences, sizes 1..n_max.
 
@@ -271,15 +255,8 @@ def biorthogonality_matrix(
     Returns the matrix with diagonal and off-diagonal summaries; the
     relative off-diagonal mass is the biorthogonality defect.
     """
-    if seq1 is None:
-        seq1 = staircase_sequence(pair.m1, n_max)
-    if seq2 is None:
-        seq2 = staircase_sequence(pair.m2, n_max)
-    validate_complete_ordered(seq1)
-    validate_complete_ordered(seq2)
-    if len(seq1) <= n_max or len(seq2) <= n_max:
-        raise ValueError("sequences too short for n_max")
-
+    seq1 = staircase_sequence(pair.m1, n_max)
+    seq2 = staircase_sequence(pair.m2, n_max)
     dual = pair.swapped()
     base = pair.base
     bits = pair.precision_bits

@@ -323,14 +323,13 @@ class MopSolution:
     """Solved coefficient blocks plus cached form evaluations.
 
     ``coeffs[j]`` holds the ascending coefficients of a_j (empty when
-    n1[j] = 0); ``monic_block`` is the j whose leading coefficient is one.
+    n1[j] = 0); the last nonempty block has leading coefficient one.
     Treated as immutable after construction; the caches only memoize.
     """
 
     pair: NikishinPair
     index: IndexPair
     coeffs: tuple
-    monic_block: int
     precision_bits: int
     pivot_ratio: float
     #: Always False: a pivot below the threshold raises instead.  Kept for
@@ -469,7 +468,6 @@ def solve_mop(pair: NikishinPair, index: IndexPair) -> MopSolution:
             width = index.n1[j]
             blocks.append(tuple(stacked[pos : pos + width]))
             pos += width
-        monic_block = max(j for j in range(index.m1 + 1) if index.n1[j])
         scale = max(abs(c) for b in blocks for c in b)
         lead_floor = lead_threshold(bits)
         for j, block in enumerate(blocks):
@@ -482,7 +480,6 @@ def solve_mop(pair: NikishinPair, index: IndexPair) -> MopSolution:
         pair=pair,
         index=index,
         coeffs=tuple(blocks),
-        monic_block=monic_block,
         precision_bits=bits,
         pivot_ratio=float(ratio),
     )
@@ -751,8 +748,6 @@ class VaryingData:
     varying measure rho_j on its interval.
     """
 
-    solution: MopSolution
-    zero_sets: dict
     K: dict
     kappa: dict
     epsilon: dict
@@ -816,6 +811,4 @@ def compute_varying_data(solution: MopSolution, zero_sets: dict) -> VaryingData:
         kappa = {
             j: K[j] / K[j + 1] for j in range(index.m1, -index.m2 - 1, -1)
         }
-    return VaryingData(
-        solution=solution, zero_sets=zero_sets, K=K, kappa=kappa, epsilon=epsilon
-    )
+    return VaryingData(K=K, kappa=kappa, epsilon=epsilon)

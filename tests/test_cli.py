@@ -4,10 +4,12 @@ import io
 import json
 import os
 import tempfile
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
 from nikmop import cli
 from nikmop.measures import WEIGHT_FAMILIES
@@ -186,14 +188,24 @@ def test_main_unknown_key_rejected(tmp_path, capsys):
     assert "unknown keys: bogus" in capsys.readouterr().err
 
 
-def test_main_bad_index_exits_two(tmp_path, capsys):
-    # |n2| + 1 != |n1|: a config error, not a failed check.
-    data = config_dict(
-        kind="hermite_pade",
-        system1=[BASE_SPEC],
-        system2=[BASE_SPEC],
-        index={"n1": [3], "n2": [3]},
-    )
+@pytest.mark.parametrize(
+    "systems, index",
+    [
+        # |n2| + 1 != |n1|: a config error, not a failed check.
+        pytest.param(([BASE_SPEC], [BASE_SPEC]), {"n1": [3], "n2": [3]},
+                     id="sizes"),
+        # Entries are JSON integers, never rounded, truncated or parsed.
+        pytest.param(None, {"n1": [1.7, 1.2], "n2": [1, 0]}, id="floats"),
+        pytest.param(None, {"n1": [True, True], "n2": [True, False]},
+                     id="bools"),
+        pytest.param(None, {"n1": ["1", "1"], "n2": ["1", "0"]},
+                     id="strings"),
+    ],
+)
+def test_main_bad_index_exits_two(tmp_path, capsys, systems, index):
+    data = config_dict(kind="hermite_pade", index=index)
+    if systems is not None:
+        data["system1"], data["system2"] = systems
     path = write_config(tmp_path, data)
     assert main(["--config", path, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
@@ -261,6 +273,13 @@ def test_main_malformed_point_exits_two(tmp_path, capsys, point):
         ({"kind": "equilibrium", "panels": True}, "panels must be a positive integer"),
         ({"kind": "nth_root", "n_max": True}, "n_max must be a positive integer"),
         ({"precision_bits": 4}, "precision_bits must be at least 8"),
+        # A ray key that is present needs a value; null is not "absent".
+        ({"kind": "ratio", "ray": {"level": None}}, "ray.level must be an integer"),
+        ({"kind": "ratio", "ray": {"steps": None}}, "ray.steps must be an integer"),
+        (
+            {"kind": "ratio", "ray": {"shift_position": None}},
+            "ray.shift_position must be an integer",
+        ),
     ],
 )
 def test_main_out_of_range_field_exits_two(tmp_path, capsys, over, message):
@@ -294,6 +313,17 @@ def test_main_bad_tolerances_ratios_or_ray_exit_two(tmp_path, capsys, over, mess
     err = capsys.readouterr().err
     assert "config error" in err and message in err
     assert not (tmp_path / "out").exists()
+
+
+def test_main_precision_zero_exits_two(tmp_path, capsys):
+    # --precision 0 is given, not absent, and goes through the same checks
+    # as precision_bits.
+    path = write_config(tmp_path, config_dict(system2=[BASE_SPEC], max_size=1))
+    out_dir = tmp_path / "out"
+    assert main(["--config", path, "--out", str(out_dir), "--precision", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "config error: precision_bits must be a positive integer" in err
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("value", ["no", 1, None])
@@ -467,6 +497,50 @@ def test_numeric_failure_exits_three(tmp_path, capsys):
     record = json.loads((out_dir / "error.json").read_text())
     assert record["error"] == "ZeroDivisionError"
     assert "message" in record
+
+
+def test_coincident_zeros_exit_three(tmp_path, monkeypatch, capsys):
+    # Every level's zeros start at 1, so an index and its shift share a
+    # zero: interlacing cannot be decided, and that is a numeric failure.
+    extract = cli.extract_cached
+
+    def tied(solution, j):
+        count = len(extract(solution, j).zeros)
+        return SimpleNamespace(zeros=tuple(mp.mpf(1 + k) for k in range(count)))
+
+    monkeypatch.setattr(cli, "extract_cached", tied)
+    path = write_config(tmp_path, config_dict(kind="diagnostics", max_size=5))
+    out_dir = tmp_path / "out"
+    assert main(["--config", path, "--out", str(out_dir)]) == 3
+    assert "numeric failure: InterlacingIndeterminate" in capsys.readouterr().err
+    record = json.loads((out_dir / "error.json").read_text())
+    assert record["error"] == "InterlacingIndeterminate"
+
+
+SMALL_KIND_SETTINGS = {
+    "mop": {"max_size": 2},
+    "diagnostics": {"max_size": 3},
+    "equilibrium": {"panels": 16},
+    "nth_root": {"panels": 16, "ray": {"steps": 2}},
+    "ratio": {"ray": {"steps": 2}},
+    "hermite_pade": {"max_size": 3},
+    "biortho": {"n_max": 2},
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_each_kind_reports_its_check_names_in_order(tmp_path, capsys, kind):
+    # --list-checks, the README table and the benchmark's output check all
+    # read CHECK_NAMES, so every kind must report exactly those checks.
+    data = config_dict(kind=kind, precision_bits=128, quadrature_nodes=16,
+                       **SMALL_KIND_SETTINGS[kind])
+    out_dir = tmp_path / "out"
+    assert main(["--config", write_config(tmp_path, data),
+                 "--out", str(out_dir)]) in (0, 1)
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert tuple(c["name"] for c in summary["checks"]) == CHECK_NAMES[kind]
+    printed = capsys.readouterr().out.splitlines()
+    assert tuple(line.split(":", 1)[1] for line in printed) == CHECK_NAMES[kind]
 
 
 def test_lattice_csv_lists_rows_in_lattice_order(tmp_path):

@@ -13,7 +13,6 @@ from nikmop.hermite_pade import (
     remainder_moments,
     remainder_via_negative_forms,
     staircase_sequence,
-    validate_complete_ordered,
 )
 from nikmop.mop import IndexPair, solve_cached
 from nikmop.precision import working
@@ -156,16 +155,6 @@ def test_staircase_sequence_is_complete_ordered():
     seq = staircase_sequence(2, 7)
     assert seq[0] == (0, 0, 0)
     assert seq[4] == (2, 1, 1)
-    validate_complete_ordered(seq)
-
-
-def test_validate_complete_ordered_rejects_bad_sequences():
-    with pytest.raises(ValueError, match="size"):
-        validate_complete_ordered(((0, 0), (2, 0)))
-    with pytest.raises(ValueError, match="non-increasing"):
-        validate_complete_ordered(((0, 0), (0, 1)))
-    with pytest.raises(ValueError, match="ordered above"):
-        validate_complete_ordered(((0, 0), (1, 0), (1, 1), (3, 0)))
 
 
 def test_biorthogonality_defect_small(pair11):
@@ -175,7 +164,3 @@ def test_biorthogonality_defect_small(pair11):
     assert out["diag_min"] > 0
     assert out["defect"] < 1e-12
 
-
-def test_biorthogonality_rejects_short_sequences(pair11):
-    with pytest.raises(ValueError, match="too short"):
-        biorthogonality_matrix(pair11, 3, seq1=staircase_sequence(1, 2))
