@@ -13,7 +13,6 @@ from .measures import (
     NikishinSystem,
     WeightSpec,
     build_gauss_rule,
-    cauchy_transform,
     check_cauchy_identity,
     nested_cauchy_transform,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "ZeroSet",
     "assemble_moment_system",
     "build_gauss_rule",
-    "cauchy_transform",
     "check_cauchy_identity",
     "compute_varying_data",
     "decreasing_indices",

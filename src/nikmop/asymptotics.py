@@ -92,8 +92,7 @@ class IndexRay:
 def equal_ratio_ray(m1: int, m2: int, start_size: int = None) -> IndexRay:
     """Ray from the balanced base; default base size is one period."""
     if start_size is None:
-        start_size = period(m1, m2) * (m1 + 1) // math.gcd(m1 + 1, period(m1, m2))
-        start_size = max(start_size, m1 + 1)
+        start_size = period(m1, m2)
     return IndexRay(base=balanced_base(m1, m2, start_size), m1=m1, m2=m2)
 
 
@@ -110,6 +109,35 @@ def pole_class(l1: int, l2: int, j: int) -> bool:
     return -l2 <= j <= l1
 
 
+def _ray_pairs(ray: IndexRay, start: int, stride: int, steps: int):
+    """(at(r), at(r + stride)) for r = start + s * period, s < steps."""
+    m = period(ray.m1, ray.m2)
+    return ((ray.at(r), ray.at(r + stride)) for r in range(start, start + steps * m, m))
+
+
+def _record(label, points, samples, bits, value, targets=None):
+    """The sample loop of the record harnesses: ``samples`` yields
+    (sample size, state), and ``value(state, z)`` is recorded at every
+    point at working precision ``bits``, with its absolute error when
+    ``targets`` are given."""
+    sizes, values = [], [[] for _ in points]
+    for size, state in samples:
+        sizes.append(size)
+        with working(bits):
+            for row, z in zip(values, points):
+                row.append(value(state, z))
+    return ConvergenceRecord(
+        label=label,
+        points=tuple(points),
+        sample_sizes=tuple(sizes),
+        values=tuple(map(tuple, values)),
+        targets=None if targets is None else tuple(targets),
+        errors=None if targets is None else tuple(
+            tuple(abs(v - t) for v in row) for row, t in zip(values, targets)
+        ),
+    )
+
+
 def nth_root_harness(
     pair, ray: IndexRay, j: int, points, equilibrium, samples
 ) -> ConvergenceRecord:
@@ -120,31 +148,15 @@ def nth_root_harness(
     the shift pattern aligned).  Points must avoid the two intervals
     adjacent to level j.
     """
-    bits = pair.precision_bits
-    sizes = []
-    values = [[] for _ in points]
-    targets = [equilibrium.eval_G(j, complex(z)) for z in points]
-    for r in samples:
-        index = ray.at(r)
-        sol = solve_cached(pair, index)
-        sizes.append(index.size)
-        with working(bits):
-            for i, z in enumerate(points):
-                root = abs(sol.form(j, mp.mpmathify(z))) ** (
-                    mp.mpf(1) / index.size
-                )
-                values[i].append(float(root))
-    errors = tuple(
-        tuple(abs(v - targets[i]) for v in row)
-        for i, row in enumerate(values)
-    )
-    return ConvergenceRecord(
-        label=f"nth-root level {j}",
-        points=tuple(points),
-        sample_sizes=tuple(sizes),
-        values=tuple(tuple(row) for row in values),
-        targets=tuple(targets),
-        errors=errors,
+    return _record(
+        f"nth-root level {j}",
+        points,
+        ((i.size, solve_cached(pair, i)) for i in map(ray.at, samples)),
+        pair.precision_bits,
+        lambda sol, z: float(
+            abs(sol.form(j, mp.mpmathify(z))) ** (mp.mpf(1) / sol.index.size)
+        ),
+        targets=[equilibrium.eval_G(j, complex(z)) for z in points],
     )
 
 
@@ -159,34 +171,24 @@ def ratio_harness(
     raw ratio values for stabilization metrics.  Form ratios are recorded
     by ``periodic_product_harness`` and ``telescoping_check``.
     """
-    m = period(ray.m1, ray.m2)
-    bits = pair.precision_bits
-    sizes = []
-    values = [[] for _ in points]
-    for s in range(steps):
-        r = shift_position + s * m
-        lo, hi, _ = ray.pair_at(r)
-        sol_lo = solve_cached(pair, lo)
-        sol_hi = solve_cached(pair, hi)
-        num_q = extract_cached(sol_hi, j)
-        den_q = extract_cached(sol_lo, j)
-        sizes.append(lo.size)
-        with working(bits):
-            for i, z in enumerate(points):
-                zv = mp.mpmathify(z)
-                num = num_q.poly_eval(zv)
-                den = den_q.poly_eval(zv)
-                if den == 0:
-                    raise ZeroDivisionError(
-                        f"test point {z} hits a zero of the level-{j} "
-                        "polynomial; move the point"
-                    )
-                values[i].append(complex(num / den))
-    return ConvergenceRecord(
-        label=f"ratio level {j} shift at {shift_position} (zero_poly)",
-        points=tuple(points),
-        sample_sizes=tuple(sizes),
-        values=tuple(tuple(row) for row in values),
+
+    def ratio(zero_sets, z):
+        zv = mp.mpmathify(z)
+        den = zero_sets[0].poly_eval(zv)
+        if den == 0:
+            raise ZeroDivisionError(
+                f"test point {z} hits a zero of the level-{j} "
+                "polynomial; move the point"
+            )
+        return complex(zero_sets[1].poly_eval(zv) / den)
+
+    samples = (
+        (lo.size, [extract_cached(solve_cached(pair, i), j) for i in (lo, hi)])
+        for lo, hi in _ray_pairs(ray, shift_position, 1, steps)
+    )
+    return _record(
+        f"ratio level {j} shift at {shift_position} (zero_poly)",
+        points, samples, pair.precision_bits, ratio,
     )
 
 
@@ -197,26 +199,18 @@ def periodic_product_harness(
     telescoping_check this covers the periodic structure: the identity
     is exact per sample, and the recorded full-period ratios stabilize
     as the ray deepens."""
-    m = period(ray.m1, ray.m2)
-    bits = pair.precision_bits
-    sizes = []
-    values = [[] for _ in points]
-    for s in range(steps):
-        r = start + s * m
-        lo = ray.at(r)
-        hi = ray.at(r + m)
-        sol_lo = solve_cached(pair, lo)
-        sol_hi = solve_cached(pair, hi)
-        sizes.append(lo.size)
-        with working(bits):
-            for i, z in enumerate(points):
-                zv = mp.mpmathify(z)
-                values[i].append(complex(sol_hi.form(j, zv) / sol_lo.form(j, zv)))
-    return ConvergenceRecord(
-        label=f"full-period form ratio level {j}",
-        points=tuple(points),
-        sample_sizes=tuple(sizes),
-        values=tuple(tuple(row) for row in values),
+
+    def ratio(sols, z):
+        zv = mp.mpmathify(z)
+        return complex(sols[1].form(j, zv) / sols[0].form(j, zv))
+
+    samples = (
+        (lo.size, [solve_cached(pair, i) for i in (lo, hi)])
+        for lo, hi in _ray_pairs(ray, start, period(ray.m1, ray.m2), steps)
+    )
+    return _record(
+        f"full-period form ratio level {j}",
+        points, samples, pair.precision_bits, ratio,
     )
 
 
@@ -227,22 +221,14 @@ def kappa_ratio_harness(
     shift; their limit is the inverse square root of the
     boundary-product constant at level j (2 against 1/4 in the
     single-measure case)."""
-    m = period(ray.m1, ray.m2)
-    sizes = []
-    row = []
-    for s in range(steps):
-        r = shift_position + s * m
-        lo, hi, _ = ray.pair_at(r)
-        vd_lo = varying_cached(pair, lo)
-        vd_hi = varying_cached(pair, hi)
-        sizes.append(lo.size)
-        with working(pair.precision_bits):
-            row.append(float(vd_hi.kappa[j] / vd_lo.kappa[j]))
-    return ConvergenceRecord(
-        label=f"kappa ratio level {j} shift at {shift_position}",
-        points=("kappa",),
-        sample_sizes=tuple(sizes),
-        values=(tuple(row),),
+    samples = (
+        (lo.size, [varying_cached(pair, i) for i in (lo, hi)])
+        for lo, hi in _ray_pairs(ray, shift_position, 1, steps)
+    )
+    return _record(
+        f"kappa ratio level {j} shift at {shift_position}",
+        ("kappa",), samples, pair.precision_bits,
+        lambda vds, _: float(vds[1].kappa[j] / vds[0].kappa[j]),
     )
 
 
@@ -283,7 +269,7 @@ def epsilon_ratio_check(pair, ray: IndexRay, positions, j: int) -> list:
     return out
 
 
-def telescoping_check(pair, ray: IndexRay, start: int, j: int, points) -> dict:
+def telescoping_check(pair, ray: IndexRay, start: int, j: int, points):
     """Full-period form ratio versus the product of its one-step
     factors: an exact algebraic identity that exercises the harness
     plumbing end to end.  Returns the worst relative deviation."""
@@ -302,7 +288,7 @@ def telescoping_check(pair, ray: IndexRay, start: int, j: int, points) -> dict:
                 b = solve_cached(pair, ray.at(r + 1))
                 prod *= b.form(j, zv) / a.form(j, zv)
             worst = max(worst, abs(full - prod) / abs(full))
-    return {"worst_rel_deviation": worst, "points": tuple(points)}
+    return worst
 
 
 def _gap_spacing(zeros, x):
@@ -317,6 +303,11 @@ def _gap_spacing(zeros, x):
 
 
 HEIGHT_MULTIPLIERS = (1.5, 2.25, 3.0, 4.0, 5.0)
+
+#: Points of the boundary-product grid, and the fraction of the interval
+#: left out at each end.
+BOUNDARY_GRID_POINTS = 9
+BOUNDARY_GRID_TRIM = 0.2
 
 
 def boundary_modulus(zs_num, zs_den, x, bits):
@@ -348,8 +339,7 @@ def boundary_modulus(zs_num, zs_den, x, bits):
 
 
 def boundary_product_harness(
-    pair, ray: IndexRay, shift_position: int, j: int, steps: int,
-    grid_count: int = 9, trim: float = 0.2,
+    pair, ray: IndexRay, shift_position: int, j: int, steps: int
 ) -> dict:
     """Constancy of |F_j|^2 / |F_{j-1} F_{j+1}| across the interior of
     the level-j interval, measured from the last ray sample.
@@ -370,9 +360,10 @@ def boundary_product_harness(
     a, b = pair.hull(j)
     with working(bits):
         width = b - a
+        trim = BOUNDARY_GRID_TRIM
         xs = [
-            a + width * (trim + (1 - 2 * trim) * i / (grid_count - 1))
-            for i in range(grid_count)
+            a + width * (trim + (1 - 2 * trim) * i / (BOUNDARY_GRID_POINTS - 1))
+            for i in range(BOUNDARY_GRID_POINTS)
         ]
         vals = []
         for x in xs:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from mpmath import mp
 
+from .asymptotics import staircase_component
 from .fixed import CauchyKernel
 from .measures import nested_cauchy_transform
 from .mop import IndexPair, MopSolution, NikishinPair, solve_cached
@@ -237,14 +238,6 @@ def remainder_via_negative_forms(solution: MopSolution, j: int, z):
         return acc
 
 
-def staircase_sequence(m: int, n_max: int) -> tuple:
-    """The canonical complete ordered sequence of component tuples for
-    sizes 0..n_max: increments distributed round-robin from slot 0."""
-    from .asymptotics import staircase_component
-
-    return tuple(staircase_component(m, r) for r in range(n_max + 1))
-
-
 def biorthogonality_matrix(pair: NikishinPair, n_max: int) -> dict:
     """Pairing matrix of the two families of monic solutions over the
     staircase sequences, sizes 1..n_max.
@@ -255,19 +248,19 @@ def biorthogonality_matrix(pair: NikishinPair, n_max: int) -> dict:
     Returns the matrix with diagonal and off-diagonal summaries; the
     relative off-diagonal mass is the biorthogonality defect.
     """
-    seq1 = staircase_sequence(pair.m1, n_max)
-    seq2 = staircase_sequence(pair.m2, n_max)
     dual = pair.swapped()
     base = pair.base
     bits = pair.precision_bits
-    direct = [
-        solve_cached(pair, IndexPair(seq1[n], seq2[n - 1]))
-        for n in range(1, n_max + 1)
-    ]
-    swapped = [
-        solve_cached(dual, IndexPair(seq2[n], seq1[n - 1]))
-        for n in range(1, n_max + 1)
-    ]
+
+    def solutions(p):
+        return [
+            solve_cached(p, IndexPair(staircase_component(p.m1, n),
+                                      staircase_component(p.m2, n - 1)))
+            for n in range(1, n_max + 1)
+        ]
+
+    direct = solutions(pair)
+    swapped = solutions(dual)
     with working(bits):
         gram = []
         for bs in swapped:

@@ -67,16 +67,12 @@ def _number(value):
 
 
 def _exact(value):
-    # the exact number a spec entry denotes, read as _as_mpf reads it
+    # the exact number a finite spec entry denotes, read as _as_mpf reads it
     if isinstance(value, mp.mpf):
-        if not mp.isfinite(value):
-            return float(value)
         (man,), exp = exact_parts(value)
         return Fraction(man) * Fraction(2) ** exp
     if isinstance(value, int):
         return Fraction(value)
-    if math.isinf(float(value)):
-        return float(value)
     return Fraction(str(value))
 
 
@@ -120,10 +116,24 @@ class WeightSpec:
                 raise MeasureError("jacobi weight needs alpha and beta")
             if not min(exps) > -1:
                 raise MeasureError("jacobi exponents must exceed -1")
+        if not isinstance(self.mass_points, (tuple, list)):
+            raise MeasureError(
+                f"mass_points must be a list of (location, mass) pairs, got "
+                f"{self.mass_points!r}"
+            )
         for pt in self.mass_points:
             nums = [_number(v) for v in pt] if isinstance(pt, (tuple, list)) else []
             if len(nums) != 2 or None in nums or not nums[1] > 0:
                 raise MeasureError(f"mass point must be (location, mass > 0), got {pt!r}")
+        numbers = [*self.interval, self.alpha, self.beta,
+                   *(v for pt in self.mass_points for v in pt)]
+        # ints are exact however large; _number reads them past the float
+        # range as infinities
+        if not all(
+            v is None or isinstance(v, int) or math.isfinite(_number(v))
+            for v in numbers
+        ):
+            raise MeasureError("spec numbers must be finite")
         object.__setattr__(self, "interval", tuple(self.interval))
         object.__setattr__(
             self, "mass_points", tuple(tuple(p) for p in self.mass_points)
@@ -148,6 +158,8 @@ class WeightSpec:
 
     @staticmethod
     def from_dict(data: dict) -> "WeightSpec":
+        if not isinstance(data, dict):
+            raise MeasureError(f"weight spec must be an object, got {data!r}")
         allowed = {"family", "interval", "sign", "alpha", "beta", "mass_points"}
         unknown = set(data) - allowed
         if unknown:
@@ -156,11 +168,11 @@ class WeightSpec:
             raise MeasureError("weight spec needs at least family and interval")
         return WeightSpec(
             family=data["family"],
-            interval=tuple(data["interval"]),
+            interval=data["interval"],
             sign=data.get("sign", 1),
             alpha=data.get("alpha"),
             beta=data.get("beta"),
-            mass_points=tuple(tuple(p) for p in data.get("mass_points", ())),
+            mass_points=data.get("mass_points", ()),
         )
 
 
@@ -378,11 +390,6 @@ def build_gauss_rule(
     return DiscretizedMeasure(
         spec=spec, precision_bits=precision_bits, nodes=xs, weights=ws, atoms=atoms
     )
-
-
-def cauchy_transform(measure: DiscretizedMeasure, z):
-    """Cauchy transform of a discretized measure at ``z``."""
-    return measure.cauchy(z)
 
 
 def _chain_density(system: "NikishinSystem", j: int, k: int) -> tuple:

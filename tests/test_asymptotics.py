@@ -193,10 +193,10 @@ def test_classical_boundary_modulus_is_half_capacity(pair00_hi):
 
 def test_telescoping_identity_is_exact(pair11):
     ray = equal_ratio_ray(1, 1)
-    out = telescoping_check(
+    worst = telescoping_check(
         pair11, ray, start=0, j=0, points=(mp.mpc(2.5, 0.7), mp.mpf(-4))
     )
-    assert out["worst_rel_deviation"] < mp.mpf(10) ** -40
+    assert worst < mp.mpf(10) ** -40
 
 
 def test_epsilon_ratio_check_matches_prediction(pair11):
@@ -225,11 +225,9 @@ def test_periodic_product_harness_shapes(pair11):
 
 def test_boundary_product_harness_sanity(pair11):
     ray = equal_ratio_ray(1, 1)
-    out = boundary_product_harness(
-        pair11, ray, 0, 0, steps=3, grid_count=5, trim=0.25
-    )
-    assert len(out["grid"]) == 5
-    assert len(out["values"]) == 5
+    out = boundary_product_harness(pair11, ray, 0, 0, steps=3)
+    assert len(out["grid"]) == 9
+    assert len(out["values"]) == 9
     assert out["mean"] > 0
     # Constancy across the interval is only approximate this early on
     # the ray; the tight threshold lives in the acceptance suite.

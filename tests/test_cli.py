@@ -213,6 +213,15 @@ def test_main_bad_index_exits_two(tmp_path, capsys, systems, index):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("data", [None, 5])
+def test_main_config_not_an_object_exits_two(tmp_path, capsys, data):
+    path = write_config(tmp_path, data)
+    assert main(["--config", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: config must be a JSON object, got {data!r}" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_main_index_shape_exits_two(tmp_path, capsys):
     data = config_dict(kind="hermite_pade", index={"n1": [2], "n2": [1]})
     path = write_config(tmp_path, data)
@@ -280,6 +289,12 @@ def test_main_malformed_point_exits_two(tmp_path, capsys, point):
             {"kind": "ratio", "ray": {"shift_position": None}},
             "ray.shift_position must be an integer",
         ),
+        # Malformed shapes name the offending key.
+        ({"system1": 5}, "system1 must be a list of weight specs, got 5"),
+        ({"system1": [5]}, "system1[0]: weight spec must be an object, got 5"),
+        ({"index": 5}, "index must be an object, got 5"),
+        ({"index": {"n1": [2, 1]}}, "missing required key: index.n2"),
+        ({"points": 5}, "points must be a list, got 5"),
     ],
 )
 def test_main_out_of_range_field_exits_two(tmp_path, capsys, over, message):
@@ -361,6 +376,7 @@ def test_main_output_dir_must_be_a_string(tmp_path, monkeypatch, capsys):
         ({"mass_points": [[float("inf"), 1]]}, "spec numbers must be finite"),
         ({"mass_points": [[4, float("inf")]]}, "spec numbers must be finite"),
         ({"interval": [-(10**400), 3]}, "supports of consecutive generators"),
+        ({"mass_points": 5}, "system1[1]: mass_points must be a list of"),
     ],
 )
 def test_main_bad_spec_number_exits_two(tmp_path, capsys, upper, message):
@@ -541,6 +557,10 @@ def test_each_kind_reports_its_check_names_in_order(tmp_path, capsys, kind):
     assert tuple(c["name"] for c in summary["checks"]) == CHECK_NAMES[kind]
     printed = capsys.readouterr().out.splitlines()
     assert tuple(line.split(":", 1)[1] for line in printed) == CHECK_NAMES[kind]
+    if kind == "ratio":
+        grid = (out_dir / "metrics" / "boundary_product.csv").read_text()
+        rows = list(csv.reader(io.StringIO(grid)))
+        assert rows[0] == ["x", "value"] and len(rows[1:]) == 9
 
 
 def test_lattice_csv_lists_rows_in_lattice_order(tmp_path):

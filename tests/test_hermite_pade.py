@@ -1,6 +1,7 @@
 import pytest
 from mpmath import mp
 
+from nikmop.asymptotics import staircase_component
 from nikmop.hermite_pade import (
     MatrixMarkov,
     biorthogonality_matrix,
@@ -12,7 +13,6 @@ from nikmop.hermite_pade import (
     remainder_matrix_route,
     remainder_moments,
     remainder_via_negative_forms,
-    staircase_sequence,
 )
 from nikmop.mop import IndexPair, solve_cached
 from nikmop.precision import working
@@ -152,9 +152,8 @@ def test_far_field_slopes_reach_order(pair11):
 
 
 def test_staircase_sequence_is_complete_ordered():
-    seq = staircase_sequence(2, 7)
-    assert seq[0] == (0, 0, 0)
-    assert seq[4] == (2, 1, 1)
+    assert staircase_component(2, 0) == (0, 0, 0)
+    assert staircase_component(2, 4) == (2, 1, 1)
 
 
 def test_biorthogonality_defect_small(pair11):

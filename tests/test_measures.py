@@ -18,7 +18,6 @@ from nikmop.measures import (
     QuadratureError,
     WeightSpec,
     build_gauss_rule,
-    cauchy_transform,
     check_cauchy_identity,
     nested_cauchy_transform,
 )
@@ -227,7 +226,7 @@ def test_cauchy_transform_chebyshev1_closed_form():
     spec = WeightSpec(family="chebyshev1", interval=(-1, 1))
     meas = build_gauss_rule(spec, NODES, BITS)
     with working(BITS):
-        got = cauchy_transform(meas, mp.mpf(2))
+        got = meas.cauchy(mp.mpf(2))
         assert abs(got - mp.pi / mp.sqrt(3)) < FLOOR
 
 
@@ -267,7 +266,17 @@ def test_weight_spec_hull_keeps_signs_of_mpf_values():
         mass_points=((mp.mpf(-4), 1),),
     )
     assert spec.hull == (-4, Fraction(-5, 2))
-    assert WeightSpec("legendre", (mp.ninf, mp.mpf(0))).hull[0] == float("-inf")
+    with pytest.raises(MeasureError, match="spec numbers must be finite"):
+        WeightSpec("legendre", (mp.ninf, mp.mpf(0)))
+
+
+def test_weight_spec_rejects_infinite_numbers():
+    with pytest.raises(MeasureError, match="spec numbers must be finite"):
+        WeightSpec("legendre", (2, float("inf")))
+    with pytest.raises(MeasureError, match="spec numbers must be finite"):
+        WeightSpec("legendre", (0, 1), mass_points=((2, "inf"),))
+    # JSON ints are exact however large.
+    assert WeightSpec("legendre", (-(10**400), 0)).hull[0] == -(10**400)
 
 
 def test_weight_spec_round_trip():

@@ -23,11 +23,3 @@ def test_classical_suite_runs():
     assert "kappa one-step ratios" in proc.stdout
     assert "equilibrium constant" in proc.stdout
 
-
-def test_ratio_experiment_runs(tmp_path):
-    out = tmp_path / "ratio"
-    proc = run_script("ratio_experiment.py", "--steps", "2", "--bits", "256",
-                      "--nodes", "24", "--out", str(out))
-    assert proc.returncode == 0, proc.stderr
-    assert "sign law: all match" in proc.stdout
-    assert (out / "ratio.csv").exists() and (out / "kappa.csv").exists()
