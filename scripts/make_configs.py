@@ -36,7 +36,7 @@ CONFIGS = {
         **SYSTEMS,
     },
     "hermite_pade": {"kind": "hermite_pade", "max_size": 8, **SYSTEMS},
-    "biortho": {"kind": "biortho", "n_max": 6, **SYSTEMS},
+    "biortho": {"kind": "biortho", "max_size": 6, **SYSTEMS},
 }
 
 

@@ -1,10 +1,10 @@
 """Config-driven experiment runner.
 
-One JSON document describes the measures, the experiment kind, and the
-check tolerances; the runner builds the systems, executes the kind's
-check bundle, and writes a deterministic summary plus CSV/gnuplot data
-files.  Exit status: 0 all checks passed, 1 a check failed, 2 bad
-config, 3 numeric failure inside the pipeline.
+One JSON document describes the measures and the experiment kind; the
+runner builds the systems, executes the kind's check bundle against the
+fixed thresholds below, and writes a deterministic summary plus
+CSV/gnuplot data files.  Exit status: 0 all checks passed, 1 a check
+failed, 2 bad config, 3 numeric failure inside the pipeline.
 
 Timestamps and solver pass counts live only in run_meta.json, so
 summary.json is byte-identical across reruns of the same config and seed
@@ -84,50 +84,39 @@ from .mop import (
     solve_cached,
 )
 from .precision import MIN_PRECISION_BITS, working
-from .reporting import config_hash, write_csv, write_gnuplot_dat, write_summary
-
-KINDS = (
-    "mop",
-    "diagnostics",
-    "equilibrium",
-    "nth_root",
-    "ratio",
-    "hermite_pade",
-    "biortho",
-)
+from .reporting import config_hash, write_csv, write_gnuplot_dat, write_json
 
 OUT_ENV = "NIKMOP_OUT"
 
-DEFAULT_TOLERANCES = {
-    "mop": {},
-    "diagnostics": {},
-    "equilibrium": {"residual": DEFAULT_TOL, "restart_mass": 1e-3},
-    "nth_root": {},
-    "ratio": {
-        "stabilization_factor": 0.1,
-        "boundary_cov": 0.02,
-        "telescoping": 1e-40,
-    },
-    "hermite_pade": {
-        "route_agreement": 1e-20,
-        "moment": 1e-18,
-        "level0_identity": 1e-40,
-        "triangular": 1e-40,
-        "slope_slack": 0.01,
-    },
-    "biortho": {"defect": 1e-12},
-}
+# Acceptance thresholds of the checks.  They are fixed here, not read
+# from the config, so a verdict speaks about the paper's claims and not
+# about the settings of one run.  The equilibrium residual bound is
+# ``equilibrium.DEFAULT_TOL``, the tolerance the solve itself meets.
 
+#: Largest mass drift between the uniform and the random restart.
+RESTART_MASS_BOUND = 1e-3
+#: The last successive-sample movement must fall below this share of
+#: the first (ratio kind).
+STABILIZATION_FACTOR = 0.1
+#: Bound on the coefficient of variation of the boundary product.
+BOUNDARY_COV_BOUND = 0.02
+#: Bound on the telescoping defect of the ratio products.
+TELESCOPING_BOUND = 1e-40
+#: Bounds on the relative defects of the Hermite-Pade identities.
+ROUTE_AGREEMENT_BOUND = 1e-20
+MOMENT_BOUND = 1e-18
+LEVEL0_IDENTITY_BOUND = 1e-40
+TRIANGULAR_BOUND = 1e-40
+#: Slack on the far-field decay exponent of each remainder.
+SLOPE_SLACK = 0.01
 #: Bound on the rank-one defect of the Markov matrix (hermite_pade kind).
 RANK_ONE_BOUND = 1e-25
+#: Bound on the off-diagonal defect of the biorthogonality Gram matrix.
+BIORTHO_DEFECT_BOUND = 1e-12
 
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _is_int(value) -> bool:
@@ -135,7 +124,7 @@ def _is_int(value) -> bool:
 
 
 def _is_finite(value) -> bool:
-    if not _is_number(value):
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
         return False
     try:
         return math.isfinite(value)
@@ -144,17 +133,18 @@ def _is_finite(value) -> bool:
 
 
 def _config_point(i: int, value) -> complex:
-    """One ``points`` entry: a real number or a pair [re, im]."""
-    if _is_number(value):
+    """One ``points`` entry: a finite real number or a pair [re, im]."""
+    if _is_finite(value):
         return complex(value)
     if (
         isinstance(value, (list, tuple))
         and len(value) == 2
-        and all(_is_number(v) for v in value)
+        and all(_is_finite(v) for v in value)
     ):
         return complex(value[0], value[1])
     raise ConfigError(
-        f"points[{i}] must be a number or a pair [re, im], got {value!r}"
+        f"points[{i}] must be a number or a pair [re, im], all finite, "
+        f"got {value!r}"
     )
 
 
@@ -175,11 +165,8 @@ class ExperimentConfig:
     points: tuple = ()
     ratios: dict = field(default_factory=dict)
     panels: int = 256
-    n_max: int = 6
     seed: int = 0
-    tolerances: dict = field(default_factory=dict)
     output_dir: str | None = None
-    hex_floats: bool = False
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -189,8 +176,7 @@ class ExperimentConfig:
         if self.system1[0].to_dict() != self.system2[0].to_dict():
             raise ConfigError("the two systems must share their base spec")
         m1, m2 = len(self.system1) - 1, len(self.system2) - 1
-        for name in ("precision_bits", "quadrature_nodes", "max_size",
-                     "panels", "n_max"):
+        for name in ("precision_bits", "quadrature_nodes", "max_size", "panels"):
             val = getattr(self, name)
             if not _is_int(val) or val <= 0:
                 raise ConfigError(f"{name} must be a positive integer")
@@ -203,10 +189,6 @@ class ExperimentConfig:
         if self.output_dir is not None and not isinstance(self.output_dir, str):
             raise ConfigError(
                 f"output_dir must be a string, got {self.output_dir!r}"
-            )
-        if not isinstance(self.hex_floats, bool):
-            raise ConfigError(
-                f"hex_floats must be true or false, got {self.hex_floats!r}"
             )
         ray_checks = {
             "level": (lambda v: _is_int(v) and -m2 <= v <= m1,
@@ -226,7 +208,6 @@ class ExperimentConfig:
         for name, allowed in (
             ("ray", set(ray_checks)),
             ("ratios", {"p1", "p2"}),
-            ("tolerances", set(DEFAULT_TOLERANCES[self.kind])),
         ):
             value = getattr(self, name)
             if not isinstance(value, dict):
@@ -238,11 +219,6 @@ class ExperimentConfig:
             if key in self.ray and not valid(self.ray[key]):
                 raise ConfigError(
                     f"ray.{key} must be {want}, got {self.ray[key]!r}"
-                )
-        for name, value in sorted(self.tolerances.items()):
-            if not _is_finite(value):
-                raise ConfigError(
-                    f"tolerances.{name} must be a finite number, got {value!r}"
                 )
         if self.index is not None:
             n1, n2 = self.index
@@ -286,10 +262,11 @@ class ExperimentConfig:
                 if not (
                     isinstance(vec, (list, tuple))
                     and len(vec) == want
-                    and all(_is_number(v) for v in vec)
+                    and all(_is_finite(v) for v in vec)
                 ):
                     raise ConfigError(
-                        f"ratios.{key} must be {want} numbers, one per generator"
+                        f"ratios.{key} must be {want} numbers, one per "
+                        "generator, all finite"
                     )
             try:
                 cumulative_ratios(self.ratios["p1"], self.ratios["p2"])
@@ -366,14 +343,8 @@ class ExperimentConfig:
             shift=None if self.shift is None else list(self.shift),
             points=[[p.real, p.imag] for p in self.points],
             ratios={k: list(v) for k, v in self.ratios.items()},
-            tolerances=dict(self.tolerances),
         )
         return out
-
-    def tolerance(self, name: str) -> float:
-        if name in self.tolerances:
-            return float(self.tolerances[name])
-        return DEFAULT_TOLERANCES[self.kind][name]
 
 
 def build_pair(config: ExperimentConfig) -> NikishinPair:
@@ -449,7 +420,6 @@ def solve_config_equilibrium(config: ExperimentConfig, pair: NikishinPair, init=
         matrix,
         equilibrium_sets(pair),
         panels_per_set=config.panels,
-        tol=config.tolerance("residual") if config.kind == "equilibrium" else DEFAULT_TOL,
         init=init,
         seed=config.seed if seed is None else seed,
     )
@@ -584,8 +554,6 @@ def run_equilibrium(config: ExperimentConfig, pair: NikishinPair) -> dict:
     drift = 0.0
     for j, m in sol.masses.items():
         drift = max(drift, float(max(abs(m - sol2.masses[j]).max(), 0.0)))
-    residual_tol = config.tolerance("residual")
-    mass_tol = config.tolerance("restart_mass")
     rows = []
     for j, grid in sorted(sol.grids.items()):
         mids = grid.mids
@@ -593,10 +561,10 @@ def run_equilibrium(config: ExperimentConfig, pair: NikishinPair) -> dict:
             rows.append((j, float(c), float(m)))
     return {
         "checks": [
-            _check("residual", sol.residual <= residual_tol,
-                   value=sol.residual, threshold=residual_tol),
-            _check("restart_agreement", drift <= mass_tol,
-                   value=drift, threshold=mass_tol),
+            _check("residual", sol.residual <= DEFAULT_TOL,
+                   value=sol.residual, threshold=DEFAULT_TOL),
+            _check("restart_agreement", drift <= RESTART_MASS_BOUND,
+                   value=drift, threshold=RESTART_MASS_BOUND),
         ],
         "csv": {"masses": (("level", "cell_center", "mass"), rows)},
         "summary_extra": {
@@ -640,11 +608,9 @@ def run_ratio(config: ExperimentConfig, pair: NikishinPair) -> dict:
 
     record = ratio_harness(pair, ray, shift_position, level, points, steps)
     stab = record.stabilization()
-    stab_factor = config.tolerance("stabilization_factor")
-    stab_ok = stab[-1] < stab_factor * stab[0] if stab[0] > 0 else True
+    stab_ok = stab[-1] < STABILIZATION_FACTOR * stab[0] if stab[0] > 0 else True
 
     bp = boundary_product_harness(pair, ray, shift_position, level, steps)
-    cov_tol = config.tolerance("boundary_cov")
 
     eps = epsilon_ratio_check(
         pair, ray, range(shift_position, shift_position + m), level
@@ -652,7 +618,6 @@ def run_ratio(config: ExperimentConfig, pair: NikishinPair) -> dict:
     eps_ok = all(e["match"] for e in eps)
 
     tel = float(telescoping_check(pair, ray, shift_position, level, points[:2]))
-    tel_tol = config.tolerance("telescoping")
 
     kap = kappa_ratio_harness(pair, ray, shift_position, level, steps)
     per = periodic_product_harness(pair, ray, shift_position, level, points[:2], max(steps - 1, 2))
@@ -660,11 +625,12 @@ def run_ratio(config: ExperimentConfig, pair: NikishinPair) -> dict:
     return {
         "checks": [
             _check("stabilization", stab_ok,
-                   first=stab[0], last=stab[-1], factor=stab_factor),
-            _check("boundary_product_cov", bp["cov"] < cov_tol,
-                   value=bp["cov"], threshold=cov_tol, mean=bp["mean"]),
+                   first=stab[0], last=stab[-1], factor=STABILIZATION_FACTOR),
+            _check("boundary_product_cov", bp["cov"] < BOUNDARY_COV_BOUND,
+                   value=bp["cov"], threshold=BOUNDARY_COV_BOUND, mean=bp["mean"]),
             _check("epsilon_law", eps_ok),
-            _check("telescoping", tel <= tel_tol, value=tel, threshold=tel_tol),
+            _check("telescoping", tel <= TELESCOPING_BOUND,
+                   value=tel, threshold=TELESCOPING_BOUND),
         ],
         "csv": {
             "boundary_product": (
@@ -690,11 +656,6 @@ def run_hermite_pade(config: ExperimentConfig, pair: NikishinPair) -> dict:
     sol = solve_cached(pair, index)
     points = config.points or default_points(pair, config.seed, count=3)
     d_polys = compute_D(sol)
-    route_tol = config.tolerance("route_agreement")
-    moment_tol = config.tolerance("moment")
-    ident_tol = config.tolerance("level0_identity")
-    tri_tol = config.tolerance("triangular")
-    slope_slack = config.tolerance("slope_slack")
 
     worst_route = 0.0
     worst_moment = 0.0
@@ -723,7 +684,7 @@ def run_hermite_pade(config: ExperimentConfig, pair: NikishinPair) -> dict:
             if moments:
                 worst_moment = max(worst_moment, float(max(moments)))
             slope = far_field_slope(sol, j)
-            slopes_ok = slopes_ok and slope <= -(index.n2[j] + 1) + slope_slack
+            slopes_ok = slopes_ok and slope <= -(index.n2[j] + 1) + SLOPE_SLACK
         for z in points:
             zv = mp.mpmathify(z)
             r0 = remainder_integral(sol, 0, zv)
@@ -732,15 +693,15 @@ def run_hermite_pade(config: ExperimentConfig, pair: NikishinPair) -> dict:
     defect = MatrixMarkov(pair).rank_one_defect()
     return {
         "checks": [
-            _check("route_agreement", worst_route <= route_tol,
-                   value=worst_route, threshold=route_tol),
-            _check("order_conditions", worst_moment <= moment_tol,
-                   value=worst_moment, threshold=moment_tol),
-            _check("level0_identity", worst_ident <= ident_tol,
-                   value=worst_ident, threshold=ident_tol),
-            _check("triangular_relations", worst_tri <= tri_tol,
-                   value=worst_tri, threshold=tri_tol),
-            _check("far_field_slopes", slopes_ok, slack=slope_slack),
+            _check("route_agreement", worst_route <= ROUTE_AGREEMENT_BOUND,
+                   value=worst_route, threshold=ROUTE_AGREEMENT_BOUND),
+            _check("order_conditions", worst_moment <= MOMENT_BOUND,
+                   value=worst_moment, threshold=MOMENT_BOUND),
+            _check("level0_identity", worst_ident <= LEVEL0_IDENTITY_BOUND,
+                   value=worst_ident, threshold=LEVEL0_IDENTITY_BOUND),
+            _check("triangular_relations", worst_tri <= TRIANGULAR_BOUND,
+                   value=worst_tri, threshold=TRIANGULAR_BOUND),
+            _check("far_field_slopes", slopes_ok, slack=SLOPE_SLACK),
             _check("rank_one", defect <= RANK_ONE_BOUND,
                    value=defect, threshold=RANK_ONE_BOUND),
         ],
@@ -751,16 +712,15 @@ def run_hermite_pade(config: ExperimentConfig, pair: NikishinPair) -> dict:
 
 
 def run_biortho(config: ExperimentConfig, pair: NikishinPair) -> dict:
-    result = biorthogonality_matrix(pair, config.n_max)
-    tol = config.tolerance("defect")
+    result = biorthogonality_matrix(pair, config.max_size)
     rows = []
     for i, row in enumerate(result["gram"]):
         for k, v in enumerate(row):
             rows.append((i + 1, k + 1, float(v)))
     return {
         "checks": [
-            _check("biorthogonality", result["defect"] <= tol,
-                   value=result["defect"], threshold=tol),
+            _check("biorthogonality", result["defect"] <= BIORTHO_DEFECT_BOUND,
+                   value=result["defect"], threshold=BIORTHO_DEFECT_BOUND),
         ],
         "csv": {"gram": (("row", "col", "value"), rows)},
         "summary_extra": {"diag_min": float(result["diag_min"])},
@@ -776,6 +736,8 @@ RUNNERS = {
     "hermite_pade": run_hermite_pade,
     "biortho": run_biortho,
 }
+
+KINDS = tuple(RUNNERS)
 
 CHECK_NAMES = {
     "mop": ("normality", "full_degrees"),
@@ -824,29 +786,14 @@ def _write_outputs(out_dir: str, config: ExperimentConfig, result: dict, elapsed
                 cols,
                 comment=f"{record.label} at point {point}",
             )
-    if config.hex_floats:
-        hex_rows = []
-        for c in result["checks"]:
-            for key, val in c.items():
-                if isinstance(val, float):
-                    hex_rows.append((c["name"], key, val.hex()))
-        if hex_rows:
-            os.makedirs(metrics_dir, exist_ok=True)
-            write_csv(
-                os.path.join(metrics_dir, "check_values_hex.csv"),
-                hex_rows,
-                ("check", "metric", "hex"),
-            )
-    write_summary(os.path.join(out_dir, "summary.json"), summary)
+    write_json(os.path.join(out_dir, "summary.json"), summary)
     meta = {
         "written_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "elapsed_seconds": elapsed,
         "version": __version__,
         **result.get("meta_extra", {}),
     }
-    with open(os.path.join(out_dir, "run_meta.json"), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "run_meta.json"), meta)
     return summary
 
 
@@ -916,9 +863,7 @@ def main(argv=None) -> int:
         record = {"error": type(exc).__name__, "message": str(exc)}
         try:
             os.makedirs(out_dir, exist_ok=True)
-            with open(os.path.join(out_dir, "error.json"), "w") as fh:
-                json.dump(record, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            write_json(os.path.join(out_dir, "error.json"), record)
         except OSError:
             pass
         print(f"numeric failure: {record['error']}: {record['message']}",

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-DEFAULT_PANELS = 256
 DEFAULT_TOL = 1e-4
 #: Active-set passes before the solve gives up on a cycling free set.  When
 #: every cell carries mass, one pass settles from the uniform start and two
@@ -368,7 +367,7 @@ def _active_set_solve(q, w, offsets, levels):
 def solve_equilibrium(
     matrix: InteractionMatrix,
     sets: dict,
-    panels_per_set: int = DEFAULT_PANELS,
+    panels_per_set: int,
     tol: float = DEFAULT_TOL,
     init: str = "uniform",
     seed: int = 0,

@@ -26,9 +26,7 @@ import numpy as np
 from mpmath import mp
 
 from .fixed import CauchyKernel, exact_parts, to_fixed, to_mp
-from .precision import DEFAULT_PRECISION_BITS, working
-
-DEFAULT_NODES = 128
+from .precision import working
 
 WEIGHT_FAMILIES = ("chebyshev1", "chebyshev2", "legendre", "jacobi")
 
@@ -351,9 +349,6 @@ class DiscretizedMeasure:
                 for w, x in zip(self.signed_weights, self.support_points)
             )
 
-    def total_mass(self):
-        return self.moment(0)
-
     def cauchy(self, z):
         """Cauchy transform: integral of 1/(z - x) against the measure."""
         with working(self.precision_bits):
@@ -364,8 +359,8 @@ class DiscretizedMeasure:
 
 def build_gauss_rule(
     spec: WeightSpec,
-    nodes: int = DEFAULT_NODES,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
+    nodes: int,
+    precision_bits: int,
 ) -> DiscretizedMeasure:
     """Discretize ``spec`` with an ``nodes``-point Gauss rule at the given
     binary precision.  Nodes are mapped affinely onto the spec's interval and

@@ -10,8 +10,6 @@ import math
 
 from mpmath import mp
 
-DEFAULT_PRECISION_BITS = 256
-
 #: Fewest binary digits ``working`` accepts.
 MIN_PRECISION_BITS = 8
 

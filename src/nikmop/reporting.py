@@ -1,5 +1,5 @@
 """Deterministic serialization of experiment results: convergence
-records, summary JSON with stable key order, RFC-4180 CSV tables, and
+records, JSON with stable key order, RFC-4180 CSV tables, and
 gnuplot-ready data blocks.  Nothing here may depend on wall-clock time;
 timestamps belong to the run metadata written by the CLI."""
 
@@ -47,9 +47,6 @@ class ConvergenceRecord:
     values: tuple
     targets: tuple = None
     errors: tuple = None
-
-    def first_last_errors(self, i: int) -> tuple:
-        return self.errors[i][0], self.errors[i][-1]
 
     def trend_ok(self) -> bool:
         """True when every point's error shrinks from the first ray
@@ -99,9 +96,10 @@ def write_csv(path, rows, header=CSV_HEADER) -> None:
         writer.writerows(rows)
 
 
-def write_summary(path, payload: dict) -> None:
-    """Summary JSON with sorted keys and a trailing newline; re-running
-    the same experiment must reproduce the file byte for byte."""
+def write_json(path, payload: dict) -> None:
+    """JSON with sorted keys, two-space indent and a trailing newline;
+    re-running the same experiment must reproduce the file byte for
+    byte."""
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")

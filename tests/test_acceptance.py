@@ -250,8 +250,8 @@ def test_criterion_07_nth_root_trend(pair10_hi, pair11_hi):
     rec10 = _nth_root_trend(pair10_hi, 1, 0, seed=2)
     rec11 = _nth_root_trend(pair11_hi, 1, 1, seed=2)
     ok = rec10.trend_ok() and rec11.trend_ok()
-    first10, last10 = rec10.first_last_errors(0)
-    first11, last11 = rec11.first_last_errors(0)
+    first10, last10 = rec10.errors[0][0], rec10.errors[0][-1]
+    first11, last11 = rec11.errors[0][0], rec11.errors[0][-1]
     assert verdict(
         7,
         ok,

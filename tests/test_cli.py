@@ -17,9 +17,9 @@ from nikmop.mop import decreasing_indices
 from nikmop.cli import (
     CHECK_NAMES,
     ConfigError,
-    DEFAULT_TOLERANCES,
     ExperimentConfig,
     KINDS,
+    RUNNERS,
     default_points,
     main,
 )
@@ -61,11 +61,8 @@ def test_from_dict_round_trip():
             points=[[4, 1], [-6, 0]],
             ratios={"p1": [0.5, 0.5], "p2": [0.5, 0.5]},
             panels=64,
-            n_max=3,
             seed=5,
-            tolerances={"telescoping": 1e-30},
             output_dir="somewhere",
-            hex_floats=True,
         )
     )
     assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
@@ -126,19 +123,8 @@ def test_rejects_unknown_kind():
         ExperimentConfig.from_dict(config_dict(kind="frobnicate"))
 
 
-def test_tolerance_defaults_and_overrides():
-    cfg = ExperimentConfig.from_dict(config_dict(kind="ratio"))
-    assert cfg.tolerance("telescoping") == 1e-40
-    assert cfg.tolerance("boundary_cov") == 0.02
-    cfg2 = ExperimentConfig.from_dict(
-        config_dict(kind="ratio", tolerances={"telescoping": 1e-30})
-    )
-    assert cfg2.tolerance("telescoping") == 1e-30
-    assert cfg2.tolerance("boundary_cov") == 0.02
-
-
 def test_check_names_cover_every_kind():
-    assert set(CHECK_NAMES) == set(KINDS) == set(DEFAULT_TOLERANCES)
+    assert set(CHECK_NAMES) == set(RUNNERS)
     for names in CHECK_NAMES.values():
         assert names
 
@@ -280,7 +266,7 @@ def test_main_malformed_point_exits_two(tmp_path, capsys, point):
         ({"quadrature_nodes": True}, "quadrature_nodes must be a positive integer"),
         ({"max_size": True}, "max_size must be a positive integer"),
         ({"kind": "equilibrium", "panels": True}, "panels must be a positive integer"),
-        ({"kind": "nth_root", "n_max": True}, "n_max must be a positive integer"),
+        ({"kind": "biortho", "n_max": 6}, "unknown keys: n_max"),
         ({"precision_bits": 4}, "precision_bits must be at least 8"),
         # A ray key that is present needs a value; null is not "absent".
         ({"kind": "ratio", "ray": {"level": None}}, "ray.level must be an integer"),
@@ -295,6 +281,13 @@ def test_main_malformed_point_exits_two(tmp_path, capsys, point):
         ({"index": 5}, "index must be an object, got 5"),
         ({"index": {"n1": [2, 1]}}, "missing required key: index.n2"),
         ({"points": 5}, "points must be a list, got 5"),
+        # json reads NaN, Infinity and 1e400 as floats that are not
+        # finite, and an int past the float range overflows one.
+        ({"kind": "nth_root", "points": [float("nan")]}, "points[0] must be a number"),
+        ({"kind": "nth_root", "points": [float("inf")]}, "points[0] must be a number"),
+        ({"kind": "nth_root", "points": [[float("nan"), 1]]},
+         "points[0] must be a number"),
+        ({"kind": "nth_root", "points": [10**400]}, "points[0] must be a number"),
     ],
 )
 def test_main_out_of_range_field_exits_two(tmp_path, capsys, over, message):
@@ -309,14 +302,20 @@ def test_main_out_of_range_field_exits_two(tmp_path, capsys, over, message):
 @pytest.mark.parametrize(
     "over, message",
     [
-        ({"tolerances": {"residul": 1e-9}}, "unknown keys: tolerances.residul"),
-        ({"tolerances": {"residual": "abc"}}, "tolerances.residual must be a finite"),
-        ({"tolerances": {"residual": [1]}}, "tolerances.residual must be a finite"),
-        ({"tolerances": {"residual": True}}, "tolerances.residual must be a finite"),
-        ({"tolerances": {"residual": float("nan")}}, "must be a finite"),
-        ({"tolerances": {"residual": 10**400}}, "must be a finite"),
-        ({"tolerances": []}, "tolerances must be an object"),
-        ({"tolerances": "abc"}, "tolerances must be an object"),
+        # The check thresholds are constants of the program, not keys.
+        ({"tolerances": {"residual": 1e-9}}, "unknown keys: tolerances"),
+        ({"hex_floats": True}, "unknown keys: hex_floats"),
+        ({"ratios": {"p1": [10**400, 0.5], "p2": [0.5, 0.5]}},
+         "ratios.p1 must be 2 numbers"),
+        ({"ratios": {"p1": [float("nan"), 0.5], "p2": [0.5, 0.5]}},
+         "ratios.p1 must be 2 numbers"),
+        ({"ratios": {"p1": [0.5, 0.5], "p2": [0.5, float("inf")]}},
+         "ratios.p2 must be 2 numbers"),
+        ({"ratios": {"p1": [0.5, True], "p2": [0.5, 0.5]}},
+         "ratios.p1 must be 2 numbers"),
+        ({"ratios": {"p1": [0.5, 0.5], "p2": ["0.5", 0.5]}},
+         "ratios.p2 must be 2 numbers"),
+        ({"ratios": {"p1": 0.5, "p2": [0.5, 0.5]}}, "ratios.p1 must be 2 numbers"),
         ({"ratios": []}, "ratios must be an object"),
         ({"ratios": ""}, "ratios must be an object"),
         ({"ray": "ab"}, "ray must be an object"),
@@ -339,16 +338,6 @@ def test_main_precision_zero_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error: precision_bits must be a positive integer" in err
     assert not out_dir.exists()
-
-
-@pytest.mark.parametrize("value", ["no", 1, None])
-def test_main_hex_floats_must_be_a_boolean(tmp_path, capsys, value):
-    data = config_dict(kind="equilibrium", panels=32, hex_floats=value)
-    path = write_config(tmp_path, data)
-    assert main(["--config", path, "--out", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert "config error" in err and "hex_floats must be true or false" in err
-    assert not (tmp_path / "out").exists()
 
 
 def test_main_output_dir_must_be_a_string(tmp_path, monkeypatch, capsys):
@@ -482,19 +471,17 @@ def test_summary_is_byte_deterministic(tmp_path):
 
 
 def test_failed_check_exits_one(tmp_path, capsys):
-    data = config_dict(
-        kind="biortho",
-        n_max=2,
-        tolerances={"defect": 1e-300},
-        hex_floats=True,
-    )
+    # 32 bits cannot resolve the moment systems of the lattice to size 6,
+    # so normality fails: a failed check, not a bad config.
+    data = config_dict(precision_bits=32, quadrature_nodes=16, max_size=6)
     path = write_config(tmp_path, data)
     out_dir = tmp_path / "out"
     assert main(["--config", path, "--out", str(out_dir)]) == 1
-    assert "[FAIL] biortho:biorthogonality" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "[FAIL] mop:normality" in printed
+    assert "[FAIL] mop:full_degrees" in printed
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["all_passed"] is False
-    assert (out_dir / "metrics" / "check_values_hex.csv").exists()
 
 
 def test_numeric_failure_exits_three(tmp_path, capsys):
@@ -540,7 +527,7 @@ SMALL_KIND_SETTINGS = {
     "nth_root": {"panels": 16, "ray": {"steps": 2}},
     "ratio": {"ray": {"steps": 2}},
     "hermite_pade": {"max_size": 3},
-    "biortho": {"n_max": 2},
+    "biortho": {"max_size": 2},
 }
 
 
@@ -630,7 +617,7 @@ def mutated_configs(draw):
             del parent[path[-1]]
         elif isinstance(parent, dict):
             key = draw(st.sampled_from(
-                ["extra", "mass_points", "alpha", "tolerances", "ratios"]
+                ["extra", "mass_points", "alpha", "points", "ratios"]
             ))
             parent[key] = draw(JSON_VALUES)
         else:
@@ -647,9 +634,15 @@ ZERO_ENDPOINT_CONFIG = config_dict(
 )
 
 
+# Point parsing runs for every kind, so a NaN point is a bad config even
+# where the kind never evaluates it.
+NAN_POINT_CONFIG = dict(SMALL_CONFIGS[0], points=[float("nan")])
+
+
 @settings(deadline=None, max_examples=25)
 @given(data=mutated_configs())
 @example(data=ZERO_ENDPOINT_CONFIG)
+@example(data=NAN_POINT_CONFIG)
 def test_exit_code_contract_under_mutated_configs(data):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")
@@ -664,6 +657,8 @@ def test_exit_code_contract_under_mutated_configs(data):
         assert "Traceback" not in err.getvalue()
         if data == ZERO_ENDPOINT_CONFIG:
             assert code == 0, err.getvalue()
+        if data == NAN_POINT_CONFIG:
+            assert code == 2, err.getvalue()
         if code == 1:
             assert os.path.exists(os.path.join(out_dir, "summary.json"))
         if code == 3:

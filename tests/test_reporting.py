@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 from mpmath import mp
@@ -11,7 +12,7 @@ from nikmop.reporting import (
     format_value,
     write_csv,
     write_gnuplot_dat,
-    write_summary,
+    write_json,
 )
 
 
@@ -53,8 +54,9 @@ def _synthetic_record():
 def test_record_trend_and_errors():
     rec = _synthetic_record()
     assert rec.trend_ok()
-    assert rec.first_last_errors(0) == (0.5, 0.01)
-    assert rec.first_last_errors(1) == (0.1, 0.001)
+    # One point whose error ends above where it started fails the trend.
+    grows = replace(rec, errors=((0.5, 0.1, 0.01), (0.1, 0.02, 0.2)))
+    assert not grows.trend_ok()
 
 
 def test_record_trend_needs_errors():
@@ -107,8 +109,8 @@ def test_write_summary_sorted_and_byte_stable(tmp_path):
     payload = {"zeta": 1, "alpha": {"b": 2, "a": 3}, "passed": True}
     p1 = tmp_path / "s1.json"
     p2 = tmp_path / "s2.json"
-    write_summary(p1, payload)
-    write_summary(p2, {"passed": True, "alpha": {"a": 3, "b": 2}, "zeta": 1})
+    write_json(p1, payload)
+    write_json(p2, {"passed": True, "alpha": {"a": 3, "b": 2}, "zeta": 1})
     blob = p1.read_bytes()
     assert blob == p2.read_bytes()
     assert blob.endswith(b"\n")
