@@ -67,9 +67,8 @@ def main() -> int:
 
     eq = solve_equilibrium(
         build_interaction_matrix((1.0,), (1.0,)),
-        {0: (-1.0, 1.0)},
+        {0: {"interval": (-1.0, 1.0)}},
         panels_per_set=args.panels,
-        tol=1e-4,
         seed=0,
     )
     print(f"equilibrium constant: {eq.omega[0]:.6f} "

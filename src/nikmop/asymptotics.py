@@ -45,12 +45,6 @@ def staircase_shift(m1: int, m2: int, r: int) -> tuple:
     return (r % (m1 + 1), r % (m2 + 1))
 
 
-def shift_set(m1: int, m2: int) -> tuple:
-    """The shifts swept by one full period of the staircase, in step
-    order; they are pairwise distinct."""
-    return tuple(staircase_shift(m1, m2, r) for r in range(period(m1, m2)))
-
-
 def balanced_base(m1: int, m2: int, size1: int) -> IndexPair:
     """Smallest-spread decreasing index with |n1| = size1: equal
     components on the first side, a near-equal split of size1 - 1 on
@@ -101,12 +95,6 @@ def equal_ratio_vectors(m1: int, m2: int) -> tuple:
         tuple(1.0 / (m1 + 1) for _ in range(m1 + 1)),
         tuple(1.0 / (m2 + 1) for _ in range(m2 + 1)),
     )
-
-
-def pole_class(l1: int, l2: int, j: int) -> bool:
-    """Whether the ratio limit at level j grows like z under the shift
-    (l1; l2): exactly the levels whose zero count increments."""
-    return -l2 <= j <= l1
 
 
 def _ray_pairs(ray: IndexRay, start: int, stride: int, steps: int):

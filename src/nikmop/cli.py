@@ -49,10 +49,10 @@ from .diagnostics import (
     zero_separation,
 )
 from .equilibrium import (
-    DEFAULT_TOL,
     EquilibriumError,
     build_interaction_matrix,
     cumulative_ratios,
+    # Called through this module: perfbench/tracing.py rebinds it here.
     solve_equilibrium,
 )
 from .hermite_pade import (
@@ -90,8 +90,9 @@ OUT_ENV = "NIKMOP_OUT"
 
 # Acceptance thresholds of the checks.  They are fixed here, not read
 # from the config, so a verdict speaks about the paper's claims and not
-# about the settings of one run.  The equilibrium residual bound is
-# ``equilibrium.DEFAULT_TOL``, the tolerance the solve itself meets.
+# about the settings of one run.  The equilibrium residual has no check
+# here: the solve raises EquilibriumError (exit 3) above
+# ``equilibrium.RESIDUAL_BOUND``, so a returned solution always meets it.
 
 #: Largest mass drift between the uniform and the random restart.
 RESTART_MASS_BOUND = 1e-3
@@ -275,6 +276,20 @@ class ExperimentConfig:
             object.__setattr__(
                 self, "ratios", {k: tuple(v) for k, v in self.ratios.items()}
             )
+        if self.kind == "nth_root":
+            # The nth-root limit at level j is built from the potentials of
+            # levels j and j + 1, so it does not hold on their hulls.
+            level = self.ray.get("level", 0)
+            for j in range(level, min(level + 1, m1) + 1):
+                spec = self.system1[j] if j >= 0 else self.system2[-j]
+                lo, hi = spec.hull
+                for i, p in enumerate(self.points):
+                    if p.imag == 0 and lo <= p.real <= hi:
+                        raise ConfigError(
+                            f"points[{i}] = {p.real!r} lies on the hull "
+                            f"[{float(lo)}, {float(hi)}] of level {j}, where "
+                            f"the nth_root limit of level {level} does not hold"
+                        )
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":
@@ -398,30 +413,26 @@ def ray_for(config: ExperimentConfig, pair: NikishinPair) -> IndexRay:
     return equal_ratio_ray(pair.m1, pair.m2, start)
 
 
-def equilibrium_sets(pair: NikishinPair) -> dict:
-    out = {}
-    for j in range(-pair.m2, pair.m1 + 1):
-        meas = pair.measure(j)
-        a, b = meas.interval
-        entry = {"interval": (float(a), float(b))}
-        if meas.atoms:
-            entry["atoms"] = tuple(float(loc) for loc, _ in meas.atoms)
-        out[j] = entry
-    return out
-
-
-def solve_config_equilibrium(config: ExperimentConfig, pair: NikishinPair, init="uniform", seed=None):
+def solve_config_equilibrium(
+    config: ExperimentConfig, pair: NikishinPair, init="uniform", seed=0
+):
+    """The config's vector equilibrium problem on the pair's sets: each
+    level's interval, with its atoms when it has any.  ``seed`` is read
+    only by the random ``init``."""
     if config.ratios:
         p1, p2 = config.ratios["p1"], config.ratios["p2"]
     else:
         p1, p2 = equal_ratio_vectors(pair.m1, pair.m2)
     matrix = build_interaction_matrix(tuple(p1), tuple(p2))
+    sets = {}
+    for j in matrix.levels():
+        meas = pair.measure(j)
+        a, b = meas.interval
+        sets[j] = {"interval": (float(a), float(b))}
+        if meas.atoms:
+            sets[j]["atoms"] = tuple(float(loc) for loc, _ in meas.atoms)
     return solve_equilibrium(
-        matrix,
-        equilibrium_sets(pair),
-        panels_per_set=config.panels,
-        init=init,
-        seed=config.seed if seed is None else seed,
+        matrix, sets, panels_per_set=config.panels, init=init, seed=seed
     )
 
 
@@ -549,11 +560,11 @@ def run_diagnostics(config: ExperimentConfig, pair: NikishinPair) -> dict:
 
 
 def run_equilibrium(config: ExperimentConfig, pair: NikishinPair) -> dict:
-    sol = solve_config_equilibrium(config, pair, init="uniform")
+    sol = solve_config_equilibrium(config, pair)
     sol2 = solve_config_equilibrium(config, pair, init="random", seed=config.seed + 1)
     drift = 0.0
     for j, m in sol.masses.items():
-        drift = max(drift, float(max(abs(m - sol2.masses[j]).max(), 0.0)))
+        drift = max(drift, float(abs(m - sol2.masses[j]).max()))
     rows = []
     for j, grid in sorted(sol.grids.items()):
         mids = grid.mids
@@ -561,8 +572,6 @@ def run_equilibrium(config: ExperimentConfig, pair: NikishinPair) -> dict:
             rows.append((j, float(c), float(m)))
     return {
         "checks": [
-            _check("residual", sol.residual <= DEFAULT_TOL,
-                   value=sol.residual, threshold=DEFAULT_TOL),
             _check("restart_agreement", drift <= RESTART_MASS_BOUND,
                    value=drift, threshold=RESTART_MASS_BOUND),
         ],
@@ -742,7 +751,7 @@ KINDS = tuple(RUNNERS)
 CHECK_NAMES = {
     "mop": ("normality", "full_degrees"),
     "diagnostics": ("zero_counts", "interlacing", "epsilon_law"),
-    "equilibrium": ("residual", "restart_agreement"),
+    "equilibrium": ("restart_agreement",),
     "nth_root": ("nth_root_trend",),
     "ratio": (
         "stabilization", "boundary_product_cov", "epsilon_law", "telescoping",

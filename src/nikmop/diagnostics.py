@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from mpmath import mp
 
 from .measures import DiscretizedMeasure
-from .mop import IndexPair, MopSolution, ZeroSet, extract_cached, solve_cached
+from .mop import MopSolution, ZeroSet, extract_cached, solve_cached
 from .precision import refine_tolerance, working
 
 
@@ -89,7 +89,6 @@ class ZeroCountReport:
     in each gap of the support.
     """
 
-    index: IndexPair
     counts: dict
     interior_ok: bool
     simple_ok: bool
@@ -137,7 +136,6 @@ def check_zero_counts(solution: MopSolution, zero_sets: dict) -> ZeroCountReport
                 if inside > 1:
                     gap_ok = False
     return ZeroCountReport(
-        index=index,
         counts=counts,
         interior_ok=interior_ok,
         simple_ok=simple_ok,

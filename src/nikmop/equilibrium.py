@@ -15,7 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-DEFAULT_TOL = 1e-4
+#: Largest variational residual a solve may return; above it the solve
+#: raises EquilibriumError, which the CLI reports with exit status 3.
+RESIDUAL_BOUND = 1e-4
 #: Active-set passes before the solve gives up on a cycling free set.  When
 #: every cell carries mass, one pass settles from the uniform start and two
 #: from a random one; layouts whose supports leave cells empty take more.
@@ -25,8 +27,8 @@ ACTIVE_MASS_FACTOR = 1e-3
 
 
 class EquilibriumError(RuntimeError):
-    """Raised when the active set does not settle or the minimizer misses
-    the requested residual."""
+    """Raised when the active set does not settle or the residual of the
+    minimizer is above RESIDUAL_BOUND."""
 
 
 def cumulative_ratios(p1, p2) -> dict:
@@ -75,10 +77,6 @@ class InteractionMatrix:
 
     def c(self, j: int, k: int) -> float:
         return float(self.entries[j + self.m2, k + self.m2])
-
-    @property
-    def order(self) -> int:
-        return self.m1 + self.m2 + 1
 
     def levels(self):
         return range(-self.m2, self.m1 + 1)
@@ -148,7 +146,6 @@ class ComponentGrid:
     the interval become zero-width cells whose self-energy uses the
     panel width as a collapse scale."""
 
-    interval: tuple
     edges: np.ndarray = field(repr=False)
     atoms: tuple = ()
 
@@ -164,14 +161,17 @@ class ComponentGrid:
         return len(self.edges) - 1 + len(self.atoms)
 
 
-def _make_grid(interval, panels: int, atoms=()) -> ComponentGrid:
+def _make_grid(spec: dict, panels: int) -> ComponentGrid:
+    """Grid of one set {"interval": (a, b), "atoms": (t, ...)}; atoms
+    inside the interval are dropped."""
+    interval = spec["interval"]
     a, b = float(interval[0]), float(interval[1])
     if not a < b:
         raise ValueError(f"degenerate interval {interval}")
-    off = tuple(float(t) for t in atoms if not a <= float(t) <= b)
-    return ComponentGrid(
-        interval=(a, b), edges=np.linspace(a, b, panels + 1), atoms=off
+    off = tuple(
+        float(t) for t in spec.get("atoms", ()) if not a <= float(t) <= b
     )
+    return ComponentGrid(edges=np.linspace(a, b, panels + 1), atoms=off)
 
 
 def _kernel_block(ga: ComponentGrid, gb: ComponentGrid) -> np.ndarray:
@@ -225,14 +225,6 @@ class EquilibriumSolution:
     residual: float
     iterations: int
 
-    def constant_sum(self, j: int) -> float:
-        """Sum of omega[k]/P_k over the levels k above j; twice it is the
-        constant term of the exponent ``eval_U(j, .)``."""
-        big_p = self.matrix.big_p
-        return sum(
-            self.omega[k] / big_p[k] for k in range(j + 1, self.matrix.m1 + 1)
-        )
-
     def potential(self, j: int, z) -> float:
         """Logarithmic potential of component j at z (real or complex),
         using the exact panel integrals."""
@@ -251,23 +243,20 @@ class EquilibriumSolution:
                 total -= m * math.log(abs(complex(z) - t))
         return total
 
-    def eval_U(self, j: int, z) -> float:
-        """Exponent of the nth-root limit at level j, defined for
-        j in [-m2-1, m1]; out-of-chain potentials drop out through
-        P = 0."""
+    def eval_G(self, j: int, z) -> float:
+        """nth-root limit at level j, defined for j in [-m2-1, m1]: exp(-U)
+        with U = 2 sum_{k>j} omega[k]/P_k + P_j V_j(z) - P_{j+1} V_{j+1}(z),
+        V the potentials; out-of-chain potentials drop out through P = 0."""
         m1, m2 = self.matrix.m1, self.matrix.m2
         if not -m2 - 1 <= j <= m1:
             raise ValueError(f"level {j} outside [-{m2 + 1}, {m1}]")
         big_p = self.matrix.big_p
-        val = 2 * self.constant_sum(j)
+        val = 2 * sum(self.omega[k] / big_p[k] for k in range(j + 1, m1 + 1))
         if big_p.get(j, 0.0):
             val += big_p[j] * self.potential(j, z)
         if big_p.get(j + 1, 0.0):
             val -= big_p[j + 1] * self.potential(j + 1, z)
-        return val
-
-    def eval_G(self, j: int, z) -> float:
-        return math.exp(-self.eval_U(j, z))
+        return math.exp(-val)
 
 
 def _assemble(matrix: InteractionMatrix, grids: dict):
@@ -368,29 +357,20 @@ def solve_equilibrium(
     matrix: InteractionMatrix,
     sets: dict,
     panels_per_set: int,
-    tol: float = DEFAULT_TOL,
     init: str = "uniform",
     seed: int = 0,
 ) -> EquilibriumSolution:
     """Minimize the coupled log energy over the product of simplices.
 
-    ``sets`` maps each level j in [-m2, m1] to an interval (a, b) or a
-    dict {"interval": (a, b), "atoms": (t, ...)}.  The objective is a
-    convex quadratic, so an active-set solve finds the discrete minimizer
-    exactly: ``init`` ("uniform", or "random" with ``seed``) only picks
+    ``sets`` maps each level j in [-m2, m1] to a dict
+    {"interval": (a, b)}, with "atoms": (t, ...) when the level has
+    atoms.  The objective is a convex quadratic, so an active-set solve
+    finds the discrete minimizer exactly: ``init`` ("uniform", or "random" with ``seed``) only picks
     the cells it starts from, and ``iterations`` counts its passes.
     Raises EquilibriumError if the active set does not settle or the
-    variational residual of the result is above ``tol``.
+    variational residual of the result is above ``RESIDUAL_BOUND``.
     """
-    grids = {}
-    for j in matrix.levels():
-        spec = sets[j]
-        if isinstance(spec, dict):
-            grids[j] = _make_grid(
-                spec["interval"], panels_per_set, spec.get("atoms", ())
-            )
-        else:
-            grids[j] = _make_grid(spec, panels_per_set)
+    grids = {j: _make_grid(sets[j], panels_per_set) for j in matrix.levels()}
     q, offsets, levels = _assemble(matrix, grids)
 
     if init == "uniform":
@@ -410,10 +390,10 @@ def solve_equilibrium(
 
     w, passes = _active_set_solve(q, w, offsets, levels)
     omega, residual = _variational_state(q, w, offsets, levels)
-    if residual > tol:
+    if residual > RESIDUAL_BOUND:
         raise EquilibriumError(
-            f"variational residual {residual:.3e} above tolerance {tol:.1e} "
-            f"after {passes} passes"
+            f"variational residual {residual:.3e} above the bound "
+            f"{RESIDUAL_BOUND:.1e} after {passes} passes"
         )
     return EquilibriumSolution(
         matrix=matrix,
@@ -434,8 +414,3 @@ def arcsine_potential(z, a=-1.0, b=1.0) -> float:
         s = -s
     phi = u + s
     return math.log(4.0 / (b - a)) - math.log(abs(phi))
-
-
-def robin_constant(a: float, b: float) -> float:
-    """Equilibrium constant of a single interval: -log capacity."""
-    return math.log(4.0 / (b - a))

@@ -245,8 +245,9 @@ def biorthogonality_matrix(pair: NikishinPair, n_max: int) -> dict:
     Row n' uses the solution with the systems interchanged (first side
     from the second sequence); column n the direct one.  The integrand
     is a product of the two level-0 forms against the base measure.
-    Returns the matrix with diagonal and off-diagonal summaries; the
-    relative off-diagonal mass is the biorthogonality defect.
+    Returns the matrix, its smallest diagonal modulus ``diag_min`` and
+    the biorthogonality ``defect``: the largest off-diagonal modulus
+    relative to ``diag_min``.
     """
     dual = pair.swapped()
     base = pair.base
@@ -286,7 +287,5 @@ def biorthogonality_matrix(pair: NikishinPair, n_max: int) -> dict:
     return {
         "gram": tuple(gram),
         "diag_min": diag_min,
-        "off_max": off_max,
         "defect": float(off_max / diag_min) if diag_min else float("inf"),
-        "n_max": n_max,
     }

@@ -791,19 +791,15 @@ def compute_varying_data(solution: MopSolution, zero_sets: dict) -> VaryingData:
             if mass == 0:
                 raise ZeroCountMismatch(f"degenerate varying mass at level {j}")
             K[j] = 1 / mp.sqrt(mass)
-        for j in range(index.m1, -index.m2 - 1, -1):
             # sign of rho_j = sign(measure) * sign(A_j / Q_j) * sign(Q_{j-1}),
             # constant on the interval; read it at the support point farthest
             # from the zeros of Q_j.
-            meas = pair.measure(j)
-            q_here = zero_sets[j]
-            q_lo = zero_sets.get(j - 1)
             pts = meas.support_points
             ref_pos = max(
                 range(len(pts)), key=lambda i: _gap_to(q_here.zeros, pts[i])
             )
             ref = pts[ref_pos]
-            av = solution.form_on_support(j)[ref_pos]
+            av = vals[ref_pos]
             ratio = av / q_here.poly_eval(ref)
             lo_val = q_lo.poly_eval(ref) if q_lo else mp.mpf(1)
             sgn = meas.sign * (1 if ratio > 0 else -1) * (1 if lo_val > 0 else -1)

@@ -183,9 +183,8 @@ def test_criterion_05_classical_oracles(pair00, pair00_hi):
 
     eq = solve_equilibrium(
         build_interaction_matrix((1.0,), (1.0,)),
-        {0: (-1.0, 1.0)},
+        {0: {"interval": (-1.0, 1.0)}},
         panels_per_set=512,
-        tol=1e-4,
         seed=0,
     )
     omega_err = abs(eq.omega[0] - math.log(2))
@@ -211,13 +210,14 @@ def test_criterion_06_equilibrium_variational(pair11):
     matrix = build_interaction_matrix(*equal_ratio_vectors(1, 1))
     np.linalg.cholesky(matrix.entries)
     sets = {
-        j: tuple(float(v) for v in pair11.hull(j)) for j in (-1, 0, 1)
+        j: {"interval": tuple(float(v) for v in pair11.hull(j))}
+        for j in (-1, 0, 1)
     }
     first = solve_equilibrium(
-        matrix, sets, panels_per_set=128, tol=1e-4, init="uniform", seed=0
+        matrix, sets, panels_per_set=128, init="uniform", seed=0
     )
     second = solve_equilibrium(
-        matrix, sets, panels_per_set=128, tol=1e-4, init="random", seed=7
+        matrix, sets, panels_per_set=128, init="random", seed=7
     )
     drift = max(
         float(np.max(np.abs(first.masses[j] - second.masses[j])))
@@ -237,10 +237,10 @@ def _nth_root_trend(pair, m1, m2, seed):
     ray = equal_ratio_ray(m1, m2)
     matrix = build_interaction_matrix(*equal_ratio_vectors(m1, m2))
     sets = {
-        j: tuple(float(v) for v in pair.hull(j))
+        j: {"interval": tuple(float(v) for v in pair.hull(j))}
         for j in range(-m2, m1 + 1)
     }
-    eq = solve_equilibrium(matrix, sets, panels_per_set=128, tol=1e-4, seed=0)
+    eq = solve_equilibrium(matrix, sets, panels_per_set=128, seed=0)
     points = default_points(pair, seed)
     samples = tuple(r for r in (2, 10, 18, 26, 34))
     return nth_root_harness(pair, ray, 0, points, eq, samples)

@@ -19,9 +19,7 @@ from nikmop.asymptotics import (
     nth_root_harness,
     period,
     periodic_product_harness,
-    pole_class,
     ratio_harness,
-    shift_set,
     staircase_component,
     staircase_shift,
     telescoping_check,
@@ -64,12 +62,13 @@ def test_period_values():
     assert period(2, 1) == 6
 
 
-def test_shift_set_covers_one_period_without_repeats():
-    assert shift_set(1, 1) == ((0, 0), (1, 1))
-    six = shift_set(2, 1)
-    assert len(six) == 6
-    assert len(set(six)) == 6
-    assert six[0] == (0, 0)
+@given(m1=st.integers(0, 3), m2=st.integers(0, 3))
+def test_one_period_sweeps_each_shift_once(m1, m2):
+    shifts = [staircase_shift(m1, m2, r) for r in range(period(m1, m2))]
+    assert shifts[0] == (0, 0)
+    assert len(set(shifts)) == len(shifts)
+    if (m1, m2) == (1, 1):
+        assert shifts == [(0, 0), (1, 1)]
 
 
 @given(m1=st.integers(0, 3), m2=st.integers(0, 3), r=st.integers(0, 40))
@@ -117,16 +116,6 @@ def test_equal_ratio_vectors_sum_to_one():
         assert len(p1) == m1 + 1 and len(p2) == m2 + 1
         assert math.isclose(sum(p1), 1.0)
         assert math.isclose(sum(p2), 1.0)
-
-
-def test_pole_class_window():
-    assert pole_class(1, 1, 0)
-    assert pole_class(1, 1, 1)
-    assert pole_class(1, 1, -1)
-    assert not pole_class(1, 1, 2)
-    assert not pole_class(1, 1, -2)
-    assert not pole_class(0, 0, -1)
-    assert pole_class(0, 0, 0)
 
 
 # ----- conformal reference data --------------------------------------
@@ -237,8 +226,8 @@ def test_boundary_product_harness_sanity(pair11):
 def test_nth_root_trend_against_equilibrium(pair10):
     ray = equal_ratio_ray(1, 0)
     matrix = build_interaction_matrix(*equal_ratio_vectors(1, 0))
-    sets = {0: (-1.0, 1.0), 1: (2.0, 3.0)}
-    eq = solve_equilibrium(matrix, sets, panels_per_set=128, tol=1e-4, seed=0)
+    sets = {0: {"interval": (-1.0, 1.0)}, 1: {"interval": (2.0, 3.0)}}
+    eq = solve_equilibrium(matrix, sets, panels_per_set=128, seed=0)
     record = nth_root_harness(
         pair10, ray, 0, points=(5.0, -2.5), equilibrium=eq,
         samples=(0, 4, 8, 12),

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from nikmop import cli
+from nikmop import cli, equilibrium
 from nikmop.measures import WEIGHT_FAMILIES
 from nikmop.mop import decreasing_indices
 from nikmop.cli import (
@@ -27,6 +27,7 @@ from nikmop.cli import (
 BASE_SPEC = {"family": "chebyshev2", "interval": [-1, 1]}
 UP_SPEC = {"family": "chebyshev1", "interval": [2, 3]}
 DOWN_SPEC = {"family": "legendre", "interval": [-3, -2]}
+ATOM_BASE_SPEC = dict(BASE_SPEC, mass_points=[[1.5, 0.5]])
 
 
 def config_dict(kind="mop", **over):
@@ -127,6 +128,31 @@ def test_check_names_cover_every_kind():
     assert set(CHECK_NAMES) == set(RUNNERS)
     for names in CHECK_NAMES.values():
         assert names
+
+
+def test_readme_check_table_matches_check_names():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        lines = fh.read().splitlines()
+    table = {}
+    for line in lines[lines.index("| kind | checks |") + 2:]:
+        if not line.startswith("|"):
+            break
+        kind, checks = (cell.strip() for cell in line.strip("|").split("|"))
+        table[kind.strip("`")] = tuple(
+            name.strip().strip("`") for name in checks.split(",")
+        )
+    assert list(table.items()) == list(CHECK_NAMES.items())
+
+
+def test_points_rule_binds_only_the_nth_root_hulls():
+    # Level 1 tops the first chain, so only its own hull is barred; points
+    # off the real axis and on other hulls stay valid.
+    ExperimentConfig.from_dict(config_dict(
+        kind="nth_root", ray={"level": 1}, points=[0.0, [2.5, 0.1], -2.5],
+    ))
+    for kind in ("hermite_pade", "ratio"):
+        ExperimentConfig.from_dict(config_dict(kind=kind, points=[0.0, 0.3, 2.5]))
 
 
 # ----- deterministic test points ---------------------------------------
@@ -288,6 +314,22 @@ def test_main_malformed_point_exits_two(tmp_path, capsys, point):
         ({"kind": "nth_root", "points": [[float("nan"), 1]]},
          "points[0] must be a number"),
         ({"kind": "nth_root", "points": [10**400]}, "points[0] must be a number"),
+        # The nth_root limit of ray level j does not hold on the closed
+        # hulls of levels j and j + 1.
+        ({"kind": "nth_root", "points": [[3.5, 1.0], 0.3]},
+         "points[1] = 0.3 lies on the hull [-1.0, 1.0] of level 0"),
+        ({"kind": "nth_root", "points": [2.5]},
+         "points[0] = 2.5 lies on the hull [2.0, 3.0] of level 1"),
+        ({"kind": "nth_root", "points": [[-1, 0]]},
+         "points[0] = -1.0 lies on the hull [-1.0, 1.0] of level 0"),
+        ({"kind": "nth_root", "ray": {"level": -1}, "points": [-2]},
+         "points[0] = -2.0 lies on the hull [-3.0, -2.0] of level -1"),
+        ({"kind": "nth_root", "ray": {"level": -1}, "points": [0.5]},
+         "points[0] = 0.5 lies on the hull [-1.0, 1.0] of level 0"),
+        ({"kind": "nth_root", "points": [1.25],
+          "system1": [ATOM_BASE_SPEC, UP_SPEC],
+          "system2": [ATOM_BASE_SPEC, DOWN_SPEC]},
+         "points[0] = 1.25 lies on the hull [-1.0, 1.5] of level 0"),
     ],
 )
 def test_main_out_of_range_field_exits_two(tmp_path, capsys, over, message):
@@ -520,6 +562,23 @@ def test_coincident_zeros_exit_three(tmp_path, monkeypatch, capsys):
     assert record["error"] == "InterlacingIndeterminate"
 
 
+@pytest.mark.parametrize("kind", ["equilibrium", "nth_root"])
+def test_residual_above_the_bound_exits_three(tmp_path, monkeypatch, capsys, kind):
+    # Both kinds that solve the equilibrium problem stop on the solve's
+    # own residual verdict.
+    monkeypatch.setattr(equilibrium, "RESIDUAL_BOUND", 1e-18)
+    data = config_dict(kind=kind, precision_bits=128, quadrature_nodes=16,
+                       panels=16, ray={"steps": 2})
+    out_dir = tmp_path / "out"
+    assert main(["--config", write_config(tmp_path, data),
+                 "--out", str(out_dir)]) == 3
+    assert "numeric failure: EquilibriumError" in capsys.readouterr().err
+    record = json.loads((out_dir / "error.json").read_text())
+    assert record["error"] == "EquilibriumError"
+    assert "above the bound" in record["message"]
+    assert not (out_dir / "summary.json").exists()
+
+
 SMALL_KIND_SETTINGS = {
     "mop": {"max_size": 2},
     "diagnostics": {"max_size": 3},
@@ -638,11 +697,17 @@ ZERO_ENDPOINT_CONFIG = config_dict(
 # where the kind never evaluates it.
 NAN_POINT_CONFIG = dict(SMALL_CONFIGS[0], points=[float("nan")])
 
+# A real point on the base hull is a bad config for the nth_root kind.
+ON_HULL_POINT_CONFIG = config_dict(
+    kind="nth_root", precision_bits=64, quadrature_nodes=8, points=[0.3],
+)
+
 
 @settings(deadline=None, max_examples=25)
 @given(data=mutated_configs())
 @example(data=ZERO_ENDPOINT_CONFIG)
 @example(data=NAN_POINT_CONFIG)
+@example(data=ON_HULL_POINT_CONFIG)
 def test_exit_code_contract_under_mutated_configs(data):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")
@@ -657,7 +722,7 @@ def test_exit_code_contract_under_mutated_configs(data):
         assert "Traceback" not in err.getvalue()
         if data == ZERO_ENDPOINT_CONFIG:
             assert code == 0, err.getvalue()
-        if data == NAN_POINT_CONFIG:
+        if data in (NAN_POINT_CONFIG, ON_HULL_POINT_CONFIG):
             assert code == 2, err.getvalue()
         if code == 1:
             assert os.path.exists(os.path.join(out_dir, "summary.json"))

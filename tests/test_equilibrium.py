@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nikmop import equilibrium
 from nikmop.equilibrium import (
     EquilibriumError,
     _active_set_solve,
@@ -17,7 +18,6 @@ from nikmop.equilibrium import (
     cumulative_ratios,
     panel_log_integral,
     project_simplex,
-    robin_constant,
     solve_equilibrium,
 )
 from nikmop.asymptotics import equal_ratio_vectors
@@ -44,7 +44,7 @@ def test_tail_sums_on_unified_levels():
 
 def test_interaction_matrix_frozen_cases():
     m = build_interaction_matrix((1.0,), (1.0,))
-    assert m.order == 1
+    assert m.entries.shape == (1, 1)
     assert m.c(0, 0) == 1.0
 
     m = build_interaction_matrix((0.5, 0.5), (1.0,))
@@ -84,7 +84,7 @@ def test_project_simplex_keeps_simplex_points():
 
 def test_panel_self_energy():
     # Double integral of -log|x - y| over the unit square.
-    g = _make_grid((0.0, 1.0), 1)
+    g = _make_grid({"interval": (0.0, 1.0)}, 1)
     assert abs(_kernel_block(g, g)[0, 0] - 1.5) < 1e-12
 
 
@@ -99,7 +99,9 @@ def test_panel_log_integral_against_riemann():
 
 def test_classical_equilibrium_is_arcsine():
     matrix = build_interaction_matrix((1.0,), (1.0,))
-    sol = solve_equilibrium(matrix, {0: (-1.0, 1.0)}, panels_per_set=256)
+    sol = solve_equilibrium(
+        matrix, {0: {"interval": (-1.0, 1.0)}}, panels_per_set=256
+    )
     assert sol.residual <= 1e-4
     masses = sol.masses[0]
     assert abs(masses.sum() - 1.0) < 1e-12
@@ -107,12 +109,18 @@ def test_classical_equilibrium_is_arcsine():
     assert abs(masses[: len(masses) // 2].sum() - 0.5) < 1e-3
     assert abs(sol.omega[0] - math.log(2)) < 5e-3
     assert abs(sol.potential(0, 2.0) - arcsine_potential(2.0)) < 2e-3
-    assert abs(robin_constant(-1.0, 1.0) - math.log(2)) < 1e-15
+
+
+EQUAL_RATIO_11_SETS = {
+    -1: {"interval": (-3.0, -2.0)},
+    0: {"interval": (-1.0, 1.0)},
+    1: {"interval": (2.0, 3.0)},
+}
 
 
 def test_equal_ratio_vector_problem_converges():
     matrix = build_interaction_matrix(*equal_ratio_vectors(1, 1))
-    sets = {-1: (-3.0, -2.0), 0: (-1.0, 1.0), 1: (2.0, 3.0)}
+    sets = EQUAL_RATIO_11_SETS
     sol = solve_equilibrium(matrix, sets, panels_per_set=128)
     assert sol.residual <= 1e-4
     for j in matrix.levels():
@@ -161,12 +169,14 @@ def test_atom_cells_stay_legal():
     assert abs(sol.masses[0].sum() - 1.0) < 1e-12
 
 
-def test_unreachable_tolerance_raises():
+def test_residual_above_the_bound_raises(monkeypatch):
+    # The bound is read at call time, so lowering it below the residual a
+    # 32-panel solve reaches makes that solve raise.
+    monkeypatch.setattr(equilibrium, "RESIDUAL_BOUND", 1e-18)
     matrix = build_interaction_matrix(*equal_ratio_vectors(1, 1))
-    sets = {-1: (-3.0, -2.0), 0: (-1.0, 1.0), 1: (2.0, 3.0)}
-    with pytest.raises(EquilibriumError):
+    with pytest.raises(EquilibriumError, match="above the bound 1.0e-18"):
         solve_equilibrium(
-            matrix, sets, panels_per_set=32, tol=1e-18, init="random", seed=3
+            matrix, EQUAL_RATIO_11_SETS, panels_per_set=32, init="random", seed=3
         )
 
 
@@ -225,20 +235,22 @@ def reference_assemble(matrix, grids):
 @pytest.mark.parametrize(
     "ratios, sets",
     [
-        (
-            equal_ratio_vectors(1, 1),
-            {-1: (-3.0, -2.0), 0: (-1.0, 1.0), 1: (2.0, 3.0)},
-        ),
+        (equal_ratio_vectors(1, 1), EQUAL_RATIO_11_SETS),
         (
             equal_ratio_vectors(2, 1),
-            {-1: (-3.1, -2.0), 0: (-1.0, 1.0), 1: (2.0, 3.05), 2: (5.0, 6.0)},
+            {
+                -1: {"interval": (-3.1, -2.0)},
+                0: {"interval": (-1.0, 1.0)},
+                1: {"interval": (2.0, 3.05)},
+                2: {"interval": (5.0, 6.0)},
+            },
         ),
         (
             equal_ratio_vectors(1, 1),
             {
                 -1: {"interval": (-3.0, -2.0), "atoms": (-1.5,)},
                 0: {"interval": (-1, 1), "atoms": (1.5,)},
-                1: (2.0, 3.0),
+                1: {"interval": (2.0, 3.0)},
             },
         ),
     ],
@@ -248,12 +260,7 @@ def test_assembly_matches_two_sided_four_corner_reference(ratios, sets):
     # One double-primitive evaluation per edge pair and the mirrored upper
     # blocks give the very floats of the four-corner, two-sided assembly.
     matrix = build_interaction_matrix(*ratios)
-    grids = {}
-    for j, spec in sets.items():
-        if isinstance(spec, dict):
-            grids[j] = _make_grid(spec["interval"], 48, spec["atoms"])
-        else:
-            grids[j] = _make_grid(spec, 48)
+    grids = {j: _make_grid(spec, 48) for j, spec in sets.items()}
     q, _, _ = _assemble(matrix, grids)
     assert q.tobytes() == reference_assemble(matrix, grids).tobytes()
     assert np.array_equal(q, q.T)
