@@ -1,9 +1,10 @@
 """Config-driven experiment runner.
 
 One JSON document describes the measures and the experiment kind; the
-runner builds the systems, executes the kind's check bundle against the
-fixed thresholds below, and writes a deterministic summary plus
-CSV/gnuplot data files.  Exit status: 0 all checks passed, 1 a check
+kind's runner builds what it reads (the Gauss-rule pair, or for the
+equilibrium kind nothing beyond the specs), executes its check bundle
+against the fixed thresholds below, and writes a deterministic summary
+plus CSV/gnuplot data files.  Exit status: 0 all checks passed, 1 a check
 failed, 2 bad config, 3 numeric failure inside the pipeline.
 
 Timestamps and solver pass counts live only in run_meta.json, so
@@ -191,20 +192,18 @@ class ExperimentConfig:
             raise ConfigError(
                 f"output_dir must be a string, got {self.output_dir!r}"
             )
+        min_steps = 3 if self.kind == "ratio" else 2
         ray_checks = {
             "level": (lambda v: _is_int(v) and -m2 <= v <= m1,
                       f"an integer in [{-m2}, {m1}]"),
             "start_size": (lambda v: _is_int(v) and v > 0 and v % (m1 + 1) == 0,
                            f"a positive multiple of {m1 + 1}"),
-            # Trends and stabilization compare ray samples, so they need two.
-            "steps": (lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
+            # A trend compares two ray samples; stabilization compares two
+            # successive movements, so the ratio kind needs three samples.
+            "steps": (lambda v: _is_int(v) and v >= min_steps,
+                      f"an integer >= {min_steps}"),
             "shift_position": (lambda v: _is_int(v) and v >= 0,
                                "an integer >= 0"),
-            "positions": (
-                lambda v: isinstance(v, (list, tuple)) and len(v) >= 2
-                and all(_is_int(r) and r >= 0 for r in v),
-                "at least two integers >= 0",
-            ),
         }
         for name, allowed in (
             ("ray", set(ray_checks)),
@@ -256,6 +255,11 @@ class ExperimentConfig:
                 )
             object.__setattr__(self, "shift", tuple(shift))
         if self.ratios:
+            if self.kind == "nth_root":
+                raise ConfigError(
+                    "ratios: the nth_root kind walks the equal-ratio ray, so "
+                    "its equilibrium problem takes no other ratios"
+                )
             if set(self.ratios) != {"p1", "p2"}:
                 raise ConfigError("ratios needs both p1 and p2")
             for key, want in (("p1", m1 + 1), ("p2", m2 + 1)):
@@ -281,8 +285,7 @@ class ExperimentConfig:
             # levels j and j + 1, so it does not hold on their hulls.
             level = self.ray.get("level", 0)
             for j in range(level, min(level + 1, m1) + 1):
-                spec = self.system1[j] if j >= 0 else self.system2[-j]
-                lo, hi = spec.hull
+                lo, hi = self.spec(j).hull
                 for i, p in enumerate(self.points):
                     if p.imag == 0 and lo <= p.real <= hi:
                         raise ConfigError(
@@ -290,6 +293,11 @@ class ExperimentConfig:
                             f"[{float(lo)}, {float(hi)}] of level {j}, where "
                             f"the nth_root limit of level {level} does not hold"
                         )
+
+    def spec(self, j: int) -> WeightSpec:
+        """The weight spec of level j: ``system1[j]`` for j >= 0, else
+        ``system2[-j]``."""
+        return self.system1[j] if j >= 0 else self.system2[-j]
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":
@@ -413,24 +421,25 @@ def ray_for(config: ExperimentConfig, pair: NikishinPair) -> IndexRay:
     return equal_ratio_ray(pair.m1, pair.m2, start)
 
 
-def solve_config_equilibrium(
-    config: ExperimentConfig, pair: NikishinPair, init="uniform", seed=0
-):
-    """The config's vector equilibrium problem on the pair's sets: each
-    level's interval, with its atoms when it has any.  ``seed`` is read
-    only by the random ``init``."""
+def solve_config_equilibrium(config: ExperimentConfig, init="uniform", seed=0):
+    """The config's vector equilibrium problem on the sets its specs hold:
+    each level's interval, with its atoms when it has any, as floats.  It
+    needs no Gauss rule.  ``seed`` is read only by the random ``init``."""
     if config.ratios:
         p1, p2 = config.ratios["p1"], config.ratios["p2"]
     else:
-        p1, p2 = equal_ratio_vectors(pair.m1, pair.m2)
+        p1, p2 = equal_ratio_vectors(
+            len(config.system1) - 1, len(config.system2) - 1
+        )
     matrix = build_interaction_matrix(tuple(p1), tuple(p2))
     sets = {}
     for j in matrix.levels():
-        meas = pair.measure(j)
-        a, b = meas.interval
-        sets[j] = {"interval": (float(a), float(b))}
-        if meas.atoms:
-            sets[j]["atoms"] = tuple(float(loc) for loc, _ in meas.atoms)
+        spec = config.spec(j)
+        sets[j] = {"interval": tuple(float(v) for v in spec.interval)}
+        if spec.mass_points:
+            sets[j]["atoms"] = tuple(
+                float(loc) for loc, _ in spec.sorted_mass_points
+            )
     return solve_equilibrium(
         matrix, sets, panels_per_set=config.panels, init=init, seed=seed
     )
@@ -461,7 +470,8 @@ def _lattice_rows(pair: NikishinPair, indices) -> list:
     return rows
 
 
-def run_mop(config: ExperimentConfig, pair: NikishinPair) -> dict:
+def run_mop(config: ExperimentConfig) -> dict:
+    pair = build_pair(config)
     rows = _lattice_rows(
         pair, decreasing_indices(pair.m1, pair.m2, config.max_size)
     )
@@ -484,7 +494,8 @@ def run_mop(config: ExperimentConfig, pair: NikishinPair) -> dict:
     }
 
 
-def run_diagnostics(config: ExperimentConfig, pair: NikishinPair) -> dict:
+def run_diagnostics(config: ExperimentConfig) -> dict:
+    pair = build_pair(config)
     lattice = decreasing_indices(pair.m1, pair.m2, config.max_size)
     delta = sign_configuration(pair)
     # Coincident zeros of an index and its shift are a precision failure,
@@ -559,9 +570,9 @@ def run_diagnostics(config: ExperimentConfig, pair: NikishinPair) -> dict:
     }
 
 
-def run_equilibrium(config: ExperimentConfig, pair: NikishinPair) -> dict:
-    sol = solve_config_equilibrium(config, pair)
-    sol2 = solve_config_equilibrium(config, pair, init="random", seed=config.seed + 1)
+def run_equilibrium(config: ExperimentConfig) -> dict:
+    sol = solve_config_equilibrium(config)
+    sol2 = solve_config_equilibrium(config, init="random", seed=config.seed + 1)
     drift = 0.0
     for j, m in sol.masses.items():
         drift = max(drift, float(abs(m - sol2.masses[j]).max()))
@@ -587,17 +598,17 @@ def run_equilibrium(config: ExperimentConfig, pair: NikishinPair) -> dict:
     }
 
 
-def run_nth_root(config: ExperimentConfig, pair: NikishinPair) -> dict:
+def run_nth_root(config: ExperimentConfig) -> dict:
+    pair = build_pair(config)
     ray = ray_for(config, pair)
-    eq = solve_config_equilibrium(config, pair)
+    eq = solve_config_equilibrium(config)
     level = config.ray.get("level", 0)
     m = period(pair.m1, pair.m2)
-    positions = config.ray.get("positions")
-    if positions is None:
-        steps = config.ray.get("steps", 4)
-        positions = [m * s for s in range(0, 2 * steps, 2)]
+    steps = config.ray.get("steps", 4)
     points = config.points or default_points(pair, config.seed)
-    record = nth_root_harness(pair, ray, level, points, eq, positions)
+    record = nth_root_harness(
+        pair, ray, level, points, eq, [m * s for s in range(0, 2 * steps, 2)]
+    )
     return {
         "checks": [
             _check("nth_root_trend", record.trend_ok(),
@@ -607,7 +618,8 @@ def run_nth_root(config: ExperimentConfig, pair: NikishinPair) -> dict:
     }
 
 
-def run_ratio(config: ExperimentConfig, pair: NikishinPair) -> dict:
+def run_ratio(config: ExperimentConfig) -> dict:
+    pair = build_pair(config)
     ray = ray_for(config, pair)
     m = period(pair.m1, pair.m2)
     steps = config.ray.get("steps", 6)
@@ -654,7 +666,8 @@ def run_ratio(config: ExperimentConfig, pair: NikishinPair) -> dict:
     }
 
 
-def run_hermite_pade(config: ExperimentConfig, pair: NikishinPair) -> dict:
+def run_hermite_pade(config: ExperimentConfig) -> dict:
+    pair = build_pair(config)
     if config.index is not None:
         index = IndexPair(*config.index)
     else:
@@ -720,7 +733,8 @@ def run_hermite_pade(config: ExperimentConfig, pair: NikishinPair) -> dict:
     }
 
 
-def run_biortho(config: ExperimentConfig, pair: NikishinPair) -> dict:
+def run_biortho(config: ExperimentConfig) -> dict:
+    pair = build_pair(config)
     result = biorthogonality_matrix(pair, config.max_size)
     rows = []
     for i, row in enumerate(result["gram"]):
@@ -808,8 +822,7 @@ def _write_outputs(out_dir: str, config: ExperimentConfig, result: dict, elapsed
 
 def run(config: ExperimentConfig, out_dir: str) -> int:
     start = time.monotonic()
-    pair = build_pair(config)
-    result = RUNNERS[config.kind](config, pair)
+    result = RUNNERS[config.kind](config)
     summary = _write_outputs(out_dir, config, result, time.monotonic() - start)
     for c in summary["checks"]:
         status = "PASS" if c["passed"] else "FAIL"

@@ -144,6 +144,14 @@ class WeightSpec:
         a, b = self.interval
         return _hull(_exact(a), _exact(b), [_exact(loc) for loc, _ in self.mass_points])
 
+    @property
+    def sorted_mass_points(self) -> tuple:
+        """The mass points by exact location, then mass: the atom order
+        of every discretization of the spec."""
+        return tuple(sorted(
+            self.mass_points, key=lambda pt: (_exact(pt[0]), _exact(pt[1]))
+        ))
+
     def to_dict(self) -> dict:
         return {
             "family": self.family,
@@ -380,7 +388,7 @@ def build_gauss_rule(
         xs = tuple(mid + rad * t for t in ref_nodes)
         ws = tuple(mp.mpf(w) for w in ref_weights)
         atoms = tuple(
-            (_as_mpf(loc), _as_mpf(mass)) for loc, mass in sorted(spec.mass_points)
+            (_as_mpf(loc), _as_mpf(mass)) for loc, mass in spec.sorted_mass_points
         )
     return DiscretizedMeasure(
         spec=spec, precision_bits=precision_bits, nodes=xs, weights=ws, atoms=atoms

@@ -272,7 +272,8 @@ def test_main_malformed_point_exits_two(tmp_path, capsys, point):
             {"kind": "equilibrium", "ratios": {"p1": [0.5, 0.5]}},
             "ratios needs both p1 and p2",
         ),
-        ({"kind": "ratio", "ray": {"steps": 0}}, "ray.steps must be an integer >= 2"),
+        # Stabilization compares two successive movements: three samples.
+        ({"kind": "ratio", "ray": {"steps": 2}}, "ray.steps must be an integer >= 3"),
         (
             {"kind": "ratio", "ray": {"start_size": -3}},
             "ray.start_size must be a positive multiple of 2",
@@ -281,10 +282,9 @@ def test_main_malformed_point_exits_two(tmp_path, capsys, point):
             {"kind": "ratio", "ray": {"shift_position": -4}},
             "ray.shift_position must be an integer >= 0",
         ),
-        (
-            {"kind": "nth_root", "ray": {"positions": [-1, 2]}},
-            "ray.positions must be at least two integers >= 0",
-        ),
+        # The nth_root samples come from ray.steps alone.
+        ({"kind": "nth_root", "ray": {"positions": [0, 2]}},
+         "unknown keys: ray.positions"),
         ({"kind": "equilibrium", "seed": -3}, "seed must be an integer >= 0"),
         ({"kind": "equilibrium", "seed": "x"}, "seed must be an integer >= 0"),
         ({"kind": "equilibrium", "seed": 1.5}, "seed must be an integer >= 0"),
@@ -330,6 +330,11 @@ def test_main_malformed_point_exits_two(tmp_path, capsys, point):
           "system1": [ATOM_BASE_SPEC, UP_SPEC],
           "system2": [ATOM_BASE_SPEC, DOWN_SPEC]},
          "points[0] = 1.25 lies on the hull [-1.0, 1.5] of level 0"),
+        ({"kind": "nth_root", "ray": {"steps": 1}}, "ray.steps must be an integer >= 2"),
+        # The nth_root kind walks the equal-ratio ray; only the
+        # equilibrium kind reads ratios.
+        ({"kind": "nth_root", "ratios": {"p1": [0.7, 0.3], "p2": [0.7, 0.3]}},
+         "ratios: the nth_root kind walks the equal-ratio ray"),
     ],
 )
 def test_main_out_of_range_field_exits_two(tmp_path, capsys, over, message):
@@ -460,18 +465,25 @@ def test_decimal_endpoints_keep_the_measure_precision(tmp_path, capsys):
     assert "[PASS] mop:normality" in capsys.readouterr().out
 
 
-def test_mop_kind_builds_the_pair_once(tmp_path, monkeypatch):
-    calls = []
-
-    def counting_build_pair(config):
-        calls.append(config)
-        return build_pair(config)
-
-    build_pair = cli.build_pair
-    monkeypatch.setattr(cli, "build_pair", counting_build_pair)
-    path = write_config(tmp_path, config_dict())
-    assert main(["--config", path, "--out", str(tmp_path / "out"), "--threads", "1"]) == 0
-    assert len(calls) == 1
+def test_equilibrium_outputs_ignore_the_gauss_rule_settings(tmp_path):
+    # Only config_hash may differ between a coarse and a fine pair setting,
+    # or a --precision override.  String and number atom locations mix.
+    base = dict(BASE_SPEC, mass_points=[["1.5", 0.5], [-1.7, 0.2]])
+    runs = []
+    for bits, nodes, extra in ((64, 8, []), (256, 128, ["--precision", "512"])):
+        data = config_dict(kind="equilibrium", panels=16,
+                           precision_bits=bits, quadrature_nodes=nodes,
+                           system1=[base, UP_SPEC], system2=[base, DOWN_SPEC])
+        out_dir = tmp_path / f"out{bits}"
+        path = write_config(tmp_path, data, name=f"config{bits}.json")
+        assert main(["--config", path, "--out", str(out_dir), *extra]) == 0
+        summary = (out_dir / "summary.json").read_bytes()
+        masses = (out_dir / "metrics" / "masses.csv").read_bytes()
+        runs.append((json.loads(summary)["config_hash"], summary, masses))
+    (hash1, summary1, masses1), (hash2, summary2, masses2) = runs
+    assert hash1 != hash2
+    assert summary1.replace(hash1.encode(), hash2.encode()) == summary2
+    assert masses1 == masses2
 
 
 def test_end_to_end_mop_run(tmp_path, capsys):
@@ -584,10 +596,36 @@ SMALL_KIND_SETTINGS = {
     "diagnostics": {"max_size": 3},
     "equilibrium": {"panels": 16},
     "nth_root": {"panels": 16, "ray": {"steps": 2}},
-    "ratio": {"ray": {"steps": 2}},
+    "ratio": {"ray": {"steps": 3}},
     "hermite_pade": {"max_size": 3},
     "biortho": {"max_size": 2},
 }
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_each_kind_builds_only_what_it_reads(tmp_path, monkeypatch, kind):
+    # The equilibrium problem comes from the specs alone; every other kind
+    # builds its Gauss-rule pair exactly once.
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "build_pair", counting("pair", cli.build_pair))
+    monkeypatch.setattr(
+        cli, "build_gauss_rule", counting("rule", cli.build_gauss_rule)
+    )
+    data = config_dict(kind=kind, precision_bits=128, quadrature_nodes=16,
+                       **SMALL_KIND_SETTINGS[kind])
+    assert main(["--config", write_config(tmp_path, data),
+                 "--out", str(tmp_path / "out")]) in (0, 1)
+    if kind == "equilibrium":
+        assert calls == []
+    else:
+        assert calls == ["pair", "rule", "rule", "rule"]
 
 
 @pytest.mark.parametrize("kind", KINDS)

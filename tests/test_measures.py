@@ -244,6 +244,23 @@ def test_atoms_extend_hull_and_support():
         assert abs(meas.moment(0) - (mp.pi / 2 + mp.mpf("0.5"))) < FLOOR
 
 
+def test_atoms_sort_by_exact_location():
+    # String and number locations build together, ordered by value: as
+    # strings "-1.25" would sort before "-1.5".
+    spec = WeightSpec(
+        family="chebyshev2", interval=(-1, 1),
+        mass_points=(("-1.25", 0.1), (2, 0.3), ("-1.5", 0.2), (-1.7, 0.4)),
+    )
+    meas = build_gauss_rule(spec, 4, BITS)
+    assert [float(loc) for loc, _ in meas.atoms] == [-1.7, -1.5, -1.25, 2.0]
+    assert [loc for loc, _ in spec.sorted_mass_points] == [
+        -1.7, "-1.5", "-1.25", 2,
+    ]
+    # Equal locations keep the mass order.
+    tied = WeightSpec("legendre", (0, 1), mass_points=((2, 0.5), (2.0, 0.25)))
+    assert tied.sorted_mass_points == ((2.0, 0.25), (2, 0.5))
+
+
 def test_weight_spec_validation():
     with pytest.raises(MeasureError):
         WeightSpec(family="hermite", interval=(-1, 1))
