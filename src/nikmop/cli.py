@@ -21,7 +21,7 @@ import os
 import random
 import sys
 import time
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields
 
 from mpmath import mp
 
@@ -87,8 +87,6 @@ from .mop import (
 from .precision import MIN_PRECISION_BITS, working
 from .reporting import config_hash, write_csv, write_gnuplot_dat, write_json
 
-OUT_ENV = "NIKMOP_OUT"
-
 # Acceptance thresholds of the checks.  They are fixed here, not read
 # from the config, so a verdict speaks about the paper's claims and not
 # about the settings of one run.  The equilibrium residual has no check
@@ -134,6 +132,11 @@ def _is_finite(value) -> bool:
         return False
 
 
+def _default(f):
+    """The default value of a dataclass field."""
+    return f.default_factory() if f.default_factory is not MISSING else f.default
+
+
 def _config_point(i: int, value) -> complex:
     """One ``points`` entry: a finite real number or a pair [re, im]."""
     if _is_finite(value):
@@ -153,7 +156,8 @@ def _config_point(i: int, value) -> complex:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment.  The fields are the config's keys and their
-    defaults; ``__post_init__`` holds every check of their values."""
+    defaults; ``__post_init__`` holds every check of their values and
+    rejects a key that ``READS`` does not list for the kind."""
 
     kind: str
     system1: tuple
@@ -168,7 +172,6 @@ class ExperimentConfig:
     ratios: dict = field(default_factory=dict)
     panels: int = 256
     seed: int = 0
-    output_dir: str | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -188,10 +191,6 @@ class ExperimentConfig:
             )
         if not _is_int(self.seed) or self.seed < 0:
             raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if self.output_dir is not None and not isinstance(self.output_dir, str):
-            raise ConfigError(
-                f"output_dir must be a string, got {self.output_dir!r}"
-            )
         min_steps = 3 if self.kind == "ratio" else 2
         ray_checks = {
             "level": (lambda v: _is_int(v) and -m2 <= v <= m1,
@@ -255,11 +254,6 @@ class ExperimentConfig:
                 )
             object.__setattr__(self, "shift", tuple(shift))
         if self.ratios:
-            if self.kind == "nth_root":
-                raise ConfigError(
-                    "ratios: the nth_root kind walks the equal-ratio ray, so "
-                    "its equilibrium problem takes no other ratios"
-                )
             if set(self.ratios) != {"p1", "p2"}:
                 raise ConfigError("ratios needs both p1 and p2")
             for key, want in (("p1", m1 + 1), ("p2", m2 + 1)):
@@ -293,6 +287,25 @@ class ExperimentConfig:
                             f"[{float(lo)}, {float(hi)}] of level {j}, where "
                             f"the nth_root limit of level {level} does not hold"
                         )
+        # Last, once every value is known to be valid: a key the kind does
+        # not read would change nothing but config_hash.
+        given = [
+            f.name for f in fields(self)
+            if f.name not in COMMON_KEYS + ("ray",)
+            and getattr(self, f.name) != _default(f)
+        ] + [f"ray.{key}" for key in sorted(self.ray)]
+        for key in given:
+            if key not in READS[self.kind]:
+                raise ConfigError(
+                    f"the {self.kind} kind does not read {key}; beside the "
+                    f"common keys it reads {', '.join(READS[self.kind])}"
+                )
+        # Only the hermite_pade kind reads index, and then not max_size.
+        if self.index is not None and "max_size" in given:
+            raise ConfigError(
+                "max_size: the hermite_pade kind reads index when it is "
+                "given, so max_size must be left out"
+            )
 
     def spec(self, j: int) -> WeightSpec:
         """The weight spec of level j: ``system1[j]`` for j >= 0, else
@@ -777,9 +790,29 @@ CHECK_NAMES = {
     "biortho": ("biorthogonality",),
 }
 
+#: The keys every kind accepts: the specs, the Gauss-rule settings that
+#: ``build_pair`` reads, and the seed that ``summary.json`` records.
+COMMON_KEYS = (
+    "kind", "system1", "system2", "precision_bits", "quadrature_nodes", "seed",
+)
+
+#: The keys each kind reads beside ``COMMON_KEYS``, ``ray`` keys dotted.
+#: Any other key whose value differs from its default exits 2.
+READS = {
+    "mop": ("max_size",),
+    "diagnostics": ("max_size", "shift"),
+    "equilibrium": ("panels", "ratios"),
+    "nth_root": ("panels", "points", "ray.level", "ray.start_size", "ray.steps"),
+    "ratio": (
+        "points", "ray.level", "ray.start_size", "ray.steps",
+        "ray.shift_position",
+    ),
+    "hermite_pade": ("index", "max_size", "points"),
+    "biortho": ("max_size",),
+}
+
 
 def _write_outputs(out_dir: str, config: ExperimentConfig, result: dict, elapsed: float) -> dict:
-    os.makedirs(out_dir, exist_ok=True)
     metrics_dir = os.path.join(out_dir, "metrics")
     plots_dir = os.path.join(out_dir, "plots")
     summary = {
@@ -821,6 +854,8 @@ def _write_outputs(out_dir: str, config: ExperimentConfig, result: dict, elapsed
 
 
 def run(config: ExperimentConfig, out_dir: str) -> int:
+    """Run the config's kind and write its outputs into the existing
+    directory ``out_dir``."""
     start = time.monotonic()
     result = RUNNERS[config.kind](config)
     summary = _write_outputs(out_dir, config, result, time.monotonic() - start)
@@ -837,12 +872,14 @@ def main(argv=None) -> int:
         "orthogonality on chained-measure systems",
     )
     parser.add_argument("--config", help="path to a JSON experiment config")
-    parser.add_argument("--out", help=f"output directory (default ${OUT_ENV} or ./nikmop_out)")
+    parser.add_argument(
+        "--out", default="nikmop_out",
+        help="output directory (default ./nikmop_out)",
+    )
     parser.add_argument(
         "--threads", type=int, default=1,
         help="accepted and ignored: every run is single-process",
     )
-    parser.add_argument("--precision", type=int, help="override precision_bits")
     parser.add_argument("--list-checks", action="store_true")
     args = parser.parse_args(argv)
 
@@ -868,15 +905,26 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 2
+    except (UnicodeDecodeError, RecursionError) as exc:
+        # Bytes that are not UTF-8, or nesting deeper than the parser goes.
+        print(f"config error: invalid JSON: {exc}", file=sys.stderr)
+        return 2
     try:
         config = ExperimentConfig.from_dict(data)
-        if args.precision is not None:
-            config = replace(config, precision_bits=args.precision)
     except (ConfigError, MeasureError, TypeError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    out_dir = args.out or config.output_dir or os.environ.get(OUT_ENV) or "nikmop_out"
+    out_dir = args.out
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        print(
+            f"config error: cannot create the output directory {out_dir!r}: "
+            f"{exc.strerror}",
+            file=sys.stderr,
+        )
+        return 2
     try:
         return run(config, out_dir)
     except (NormalityViolation, EquilibriumError, MeasureError,
@@ -884,7 +932,6 @@ def main(argv=None) -> int:
             ArithmeticError) as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
         try:
-            os.makedirs(out_dir, exist_ok=True)
             write_json(os.path.join(out_dir, "error.json"), record)
         except OSError:
             pass

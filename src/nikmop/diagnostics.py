@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from mpmath import mp
 
 from .measures import DiscretizedMeasure
-from .mop import MopSolution, ZeroSet, extract_cached, solve_cached
+from .mop import MopSolution, extract_cached, solve_cached
 from .precision import refine_tolerance, working
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from mpmath import mp
 

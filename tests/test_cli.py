@@ -4,6 +4,7 @@ import io
 import json
 import os
 import tempfile
+from dataclasses import fields
 from types import SimpleNamespace
 
 import pytest
@@ -16,9 +17,11 @@ from nikmop.measures import WEIGHT_FAMILIES
 from nikmop.mop import decreasing_indices
 from nikmop.cli import (
     CHECK_NAMES,
+    COMMON_KEYS,
     ConfigError,
     ExperimentConfig,
     KINDS,
+    READS,
     RUNNERS,
     default_points,
     main,
@@ -31,13 +34,16 @@ ATOM_BASE_SPEC = dict(BASE_SPEC, mass_points=[[1.5, 0.5]])
 
 
 def config_dict(kind="mop", **over):
+    """A (1,1) config of ``kind``; a small lattice for the kinds that read
+    ``max_size``, unless ``index`` takes its place."""
     data = {
         "kind": kind,
         "system1": [BASE_SPEC, UP_SPEC],
         "system2": [BASE_SPEC, DOWN_SPEC],
         "quadrature_nodes": 32,
-        "max_size": 4,
     }
+    if "max_size" in READS.get(kind, ()) and "index" not in over:
+        data["max_size"] = 4
     data.update(over)
     return data
 
@@ -51,24 +57,57 @@ def write_config(tmp_path, data, name="config.json"):
 # ----- config parsing --------------------------------------------------
 
 
-def test_from_dict_round_trip():
-    cfg = ExperimentConfig.from_dict(
-        config_dict(
-            kind="ratio",
-            precision_bits=192,
-            index={"n1": [2, 1], "n2": [1, 1]},
-            ray={"steps": 3, "level": 0},
-            shift=[1, 0],
-            points=[[4, 1], [-6, 0]],
-            ratios={"p1": [0.5, 0.5], "p2": [0.5, 0.5]},
-            panels=64,
-            seed=5,
-            output_dir="somewhere",
-        )
-    )
+# A valid value, other than the default, for every key outside
+# COMMON_KEYS on the (1,1) layout of config_dict; ray keys are dotted.
+KEY_VALUES = {
+    "max_size": 3,
+    "index": {"n1": [2, 1], "n2": [1, 1]},
+    "shift": [1, 0],
+    "points": [[4, 1], [-6, 0]],
+    "ratios": {"p1": [0.5, 0.5], "p2": [0.5, 0.5]},
+    "panels": 64,
+    "ray.level": 0,
+    "ray.start_size": 4,
+    "ray.steps": 3,
+    "ray.shift_position": 1,
+}
+
+
+def with_keys(kind, keys):
+    """config_dict of ``kind`` with the KEY_VALUES entries of ``keys``."""
+    over = {"precision_bits": 192, "seed": 5}
+    for key in keys:
+        if key.startswith("ray."):
+            over.setdefault("ray", {})[key[len("ray."):]] = KEY_VALUES[key]
+        else:
+            over[key] = KEY_VALUES[key]
+    return config_dict(kind=kind, **over)
+
+
+def test_key_values_cover_every_key():
+    ray_keys = {key for keys in READS.values() for key in keys
+                if key.startswith("ray.")}
+    top = {f.name for f in fields(ExperimentConfig)} - {"ray"}
+    assert set(KEY_VALUES) == top - set(COMMON_KEYS) | ray_keys
+
+
+@pytest.mark.parametrize(
+    "kind, keys",
+    [pytest.param(kind, READS[kind], id=kind)
+     for kind in KINDS if kind != "hermite_pade"]
+    + [pytest.param("hermite_pade", ("index", "points"), id="hermite_pade-index"),
+       pytest.param("hermite_pade", ("max_size", "points"),
+                    id="hermite_pade-max_size")],
+)
+def test_from_dict_round_trip(kind, keys):
+    # Every key the kind reads, set to a value other than its default.
+    cfg = ExperimentConfig.from_dict(with_keys(kind, keys))
     assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
-    assert cfg.index == ((2, 1), (1, 1))
-    assert cfg.points == (complex(4, 1), complex(-6, 0))
+    assert (cfg.precision_bits, cfg.seed) == (192, 5)
+    if "index" in keys:
+        assert cfg.index == ((2, 1), (1, 1))
+    if "points" in keys:
+        assert cfg.points == (complex(4, 1), complex(-6, 0))
 
 
 def test_from_dict_defaults():
@@ -134,15 +173,53 @@ def test_readme_check_table_matches_check_names():
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme) as fh:
         lines = fh.read().splitlines()
-    table = {}
-    for line in lines[lines.index("| kind | checks |") + 2:]:
+
+    def names(cell):
+        return tuple(name.strip().strip("`") for name in cell.split(","))
+
+    checks, reads = {}, {}
+    for line in lines[lines.index("| kind | checks | reads |") + 2:]:
         if not line.startswith("|"):
             break
-        kind, checks = (cell.strip() for cell in line.strip("|").split("|"))
-        table[kind.strip("`")] = tuple(
-            name.strip().strip("`") for name in checks.split(",")
-        )
-    assert list(table.items()) == list(CHECK_NAMES.items())
+        kind, check_cell, read_cell = line.strip("|").split("|")
+        checks[kind.strip().strip("`")] = names(check_cell)
+        reads[kind.strip().strip("`")] = names(read_cell)
+    assert list(checks.items()) == list(CHECK_NAMES.items())
+    assert list(reads.items()) == list(READS.items())
+
+
+@pytest.mark.parametrize(
+    "kind, key",
+    [(kind, key) for kind in KINDS for key in KEY_VALUES
+     if key not in READS[kind]],
+)
+def test_unread_key_exits_two(tmp_path, capsys, kind, key):
+    # A key the kind never reads would change nothing but config_hash.
+    path = write_config(tmp_path, with_keys(kind, [key]))
+    assert main(["--config", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: the {kind} kind does not read {key};" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_index_and_max_size_together_exit_two(tmp_path, capsys):
+    # Given an index, the hermite_pade kind does not read max_size.
+    path = write_config(tmp_path, with_keys("hermite_pade", ["index", "max_size"]))
+    assert main(["--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert "config error: max_size: the hermite_pade kind reads index" in (
+        capsys.readouterr().err
+    )
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_unread_keys_at_their_defaults_are_accepted(kind):
+    # The rule compares values: a key written out at its default is the
+    # config without it, with the same config_hash.
+    defaults = {"max_size": 6, "points": [], "ratios": {}, "panels": 256,
+                "ray": {}, "index": None, "shift": None}
+    plain = ExperimentConfig.from_dict(config_dict(kind=kind))
+    data = dict(defaults, **config_dict(kind=kind))
+    assert ExperimentConfig.from_dict(data).to_dict() == plain.to_dict()
 
 
 def test_points_rule_binds_only_the_nth_root_hulls():
@@ -187,11 +264,47 @@ def test_main_missing_config_file(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_main_invalid_json(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (b'{"kind": "mop", ', "byte offset"),
+        # Not UTF-8, and nesting deeper than the parser's recursion limit.
+        (b'{"kind": "\xff"}', "invalid JSON: 'utf-8' codec can't decode"),
+        (b"[" * 2000 + b"]" * 2000, "invalid JSON: maximum recursion depth"),
+    ],
+    ids=["truncated", "not_utf8", "deep"],
+)
+def test_main_invalid_json(tmp_path, capsys, raw, message):
     path = tmp_path / "broken.json"
-    path.write_text('{"kind": "mop", ')
-    assert main(["--config", str(path)]) == 2
-    assert "byte offset" in capsys.readouterr().err
+    path.write_bytes(raw)
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_main_out_naming_a_file_exits_two_before_the_run(tmp_path, monkeypatch, capsys):
+    # The output directory is made before any runner starts.
+    monkeypatch.setattr(cli, "RUNNERS", {})
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    path = write_config(tmp_path, config_dict())
+    assert main(["--config", path, "--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot create the output directory {str(taken)!r}" in err
+    assert "Traceback" not in err
+    assert taken.read_text() == ""
+
+
+def test_main_writes_to_nikmop_out_by_default(tmp_path, monkeypatch):
+    # --out is the only way to name the output directory.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("NIKMOP_OUT", str(tmp_path / "ignored"))
+    path = write_config(tmp_path, config_dict(system2=[BASE_SPEC], max_size=1))
+    assert main(["--config", path]) == 0
+    assert sorted(os.listdir(tmp_path)) == ["config.json", "nikmop_out"]
+    assert (tmp_path / "nikmop_out" / "summary.json").exists()
 
 
 def test_main_unknown_key_rejected(tmp_path, capsys):
@@ -331,10 +444,8 @@ def test_main_malformed_point_exits_two(tmp_path, capsys, point):
           "system2": [ATOM_BASE_SPEC, DOWN_SPEC]},
          "points[0] = 1.25 lies on the hull [-1.0, 1.5] of level 0"),
         ({"kind": "nth_root", "ray": {"steps": 1}}, "ray.steps must be an integer >= 2"),
-        # The nth_root kind walks the equal-ratio ray; only the
-        # equilibrium kind reads ratios.
-        ({"kind": "nth_root", "ratios": {"p1": [0.7, 0.3], "p2": [0.7, 0.3]}},
-         "ratios: the nth_root kind walks the equal-ratio ray"),
+        # --out alone names the output directory.
+        ({"output_dir": "somewhere"}, "unknown keys: output_dir"),
     ],
 )
 def test_main_out_of_range_field_exits_two(tmp_path, capsys, over, message):
@@ -374,29 +485,6 @@ def test_main_bad_tolerances_ratios_or_ray_exit_two(tmp_path, capsys, over, mess
     err = capsys.readouterr().err
     assert "config error" in err and message in err
     assert not (tmp_path / "out").exists()
-
-
-def test_main_precision_zero_exits_two(tmp_path, capsys):
-    # --precision 0 is given, not absent, and goes through the same checks
-    # as precision_bits.
-    path = write_config(tmp_path, config_dict(system2=[BASE_SPEC], max_size=1))
-    out_dir = tmp_path / "out"
-    assert main(["--config", path, "--out", str(out_dir), "--precision", "0"]) == 2
-    err = capsys.readouterr().err
-    assert "config error: precision_bits must be a positive integer" in err
-    assert not out_dir.exists()
-
-
-def test_main_output_dir_must_be_a_string(tmp_path, monkeypatch, capsys):
-    # Without --out the config's output_dir names the output directory.
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv(cli.OUT_ENV, raising=False)
-    path = write_config(tmp_path, config_dict(max_size=1, output_dir=5))
-    assert main(["--config", path]) == 2
-    err = capsys.readouterr().err
-    assert "config error" in err and "output_dir must be a string" in err
-    assert "Traceback" not in err
-    assert sorted(os.listdir(tmp_path)) == ["config.json"]
 
 
 @pytest.mark.parametrize(
@@ -466,17 +554,17 @@ def test_decimal_endpoints_keep_the_measure_precision(tmp_path, capsys):
 
 
 def test_equilibrium_outputs_ignore_the_gauss_rule_settings(tmp_path):
-    # Only config_hash may differ between a coarse and a fine pair setting,
-    # or a --precision override.  String and number atom locations mix.
+    # Only config_hash may differ between a coarse and a fine pair setting.
+    # String and number atom locations mix.
     base = dict(BASE_SPEC, mass_points=[["1.5", 0.5], [-1.7, 0.2]])
     runs = []
-    for bits, nodes, extra in ((64, 8, []), (256, 128, ["--precision", "512"])):
+    for bits, nodes in ((64, 8), (512, 128)):
         data = config_dict(kind="equilibrium", panels=16,
                            precision_bits=bits, quadrature_nodes=nodes,
                            system1=[base, UP_SPEC], system2=[base, DOWN_SPEC])
         out_dir = tmp_path / f"out{bits}"
         path = write_config(tmp_path, data, name=f"config{bits}.json")
-        assert main(["--config", path, "--out", str(out_dir), *extra]) == 0
+        assert main(["--config", path, "--out", str(out_dir)]) == 0
         summary = (out_dir / "summary.json").read_bytes()
         masses = (out_dir / "metrics" / "masses.csv").read_bytes()
         runs.append((json.loads(summary)["config_hash"], summary, masses))
@@ -574,23 +662,6 @@ def test_coincident_zeros_exit_three(tmp_path, monkeypatch, capsys):
     assert record["error"] == "InterlacingIndeterminate"
 
 
-@pytest.mark.parametrize("kind", ["equilibrium", "nth_root"])
-def test_residual_above_the_bound_exits_three(tmp_path, monkeypatch, capsys, kind):
-    # Both kinds that solve the equilibrium problem stop on the solve's
-    # own residual verdict.
-    monkeypatch.setattr(equilibrium, "RESIDUAL_BOUND", 1e-18)
-    data = config_dict(kind=kind, precision_bits=128, quadrature_nodes=16,
-                       panels=16, ray={"steps": 2})
-    out_dir = tmp_path / "out"
-    assert main(["--config", write_config(tmp_path, data),
-                 "--out", str(out_dir)]) == 3
-    assert "numeric failure: EquilibriumError" in capsys.readouterr().err
-    record = json.loads((out_dir / "error.json").read_text())
-    assert record["error"] == "EquilibriumError"
-    assert "above the bound" in record["message"]
-    assert not (out_dir / "summary.json").exists()
-
-
 SMALL_KIND_SETTINGS = {
     "mop": {"max_size": 2},
     "diagnostics": {"max_size": 3},
@@ -600,6 +671,23 @@ SMALL_KIND_SETTINGS = {
     "hermite_pade": {"max_size": 3},
     "biortho": {"max_size": 2},
 }
+
+
+@pytest.mark.parametrize("kind", ["equilibrium", "nth_root"])
+def test_residual_above_the_bound_exits_three(tmp_path, monkeypatch, capsys, kind):
+    # Both kinds that solve the equilibrium problem stop on the solve's
+    # own residual verdict.
+    monkeypatch.setattr(equilibrium, "RESIDUAL_BOUND", 1e-18)
+    data = config_dict(kind=kind, precision_bits=128, quadrature_nodes=16,
+                       **SMALL_KIND_SETTINGS[kind])
+    out_dir = tmp_path / "out"
+    assert main(["--config", write_config(tmp_path, data),
+                 "--out", str(out_dir)]) == 3
+    assert "numeric failure: EquilibriumError" in capsys.readouterr().err
+    record = json.loads((out_dir / "error.json").read_text())
+    assert record["error"] == "EquilibriumError"
+    assert "above the bound" in record["message"]
+    assert not (out_dir / "summary.json").exists()
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -1,4 +1,5 @@
-"""Smoke runs of the scripts under ``scripts/`` at small sizes."""
+"""Smoke runs of the scripts under ``scripts/`` at small sizes, and the
+configs that those scripts and the benchmark hand to the CLI."""
 
 import importlib.util
 import os
@@ -11,11 +12,17 @@ import pytest
 from nikmop.cli import ExperimentConfig
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-_spec = importlib.util.spec_from_file_location(
-    "make_configs", ROOT / "scripts" / "make_configs.py"
-)
-make_configs = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(make_configs)
+
+
+def load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+make_configs = load("make_configs", ROOT / "scripts" / "make_configs.py")
+workloads = load("workloads", ROOT / "perfbench" / "workloads.py")
 
 
 def run_script(name, *args):
@@ -39,3 +46,12 @@ def test_shipped_configs_parse(name):
     # The per-kind rules of ExperimentConfig must accept every shipped config.
     config = ExperimentConfig.from_dict(make_configs.CONFIGS[name])
     assert config.kind == name
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+def test_benchmark_configs_parse(workload, seed):
+    # A workload config that ExperimentConfig rejects would fail every
+    # repetition of the benchmark.
+    for data in workloads.configs(workload, seed):
+        assert ExperimentConfig.from_dict(data).kind == data["kind"]
