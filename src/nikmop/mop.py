@@ -165,7 +165,8 @@ class NikishinPair:
 
     s1: NikishinSystem
     s2: NikishinSystem
-    _moment_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    #: Mixed moments and atom scan ladders, the only store of pair data.
+    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         b1 = self.s1.generators[0]
@@ -216,18 +217,31 @@ class NikishinPair:
     def mixed_moment(self, j: int, k: int, power: int):
         """Integral of x^power * shat1_{1,j}(x) * shat2_{1,k}(x) dbase(x)."""
         key = (j, k, power)
-        if key not in self._moment_cache:
+        if key not in self._cache:
             base = self.base
             d1 = self.base_density1(j)
             d2 = self.base_density2(k)
             with working(base.precision_bits):
-                self._moment_cache[key] = mp.fsum(
+                self._cache[key] = mp.fsum(
                     w * a * b * x**power
                     for w, a, b, x in zip(
                         base.signed_weights, d1, d2, base.support_points
                     )
                 )
-        return self._moment_cache[key]
+        return self._cache[key]
+
+    def scan_ladder(self, j: int, bits: int) -> tuple:
+        """The atom ladders of the unified measure j at ``bits``
+        (``_atom_scan_points``), ascending; built on first use."""
+        key = ("ladder", j, bits)
+        if key not in self._cache:
+            lo, hi = self.hull(j)
+            rel_tol = refine_tolerance(bits)
+            with working(bits):
+                self._cache[key] = tuple(
+                    sorted(_atom_scan_points(self.measure(j), lo, hi, rel_tol))
+                )
+        return self._cache[key]
 
 
 def assemble_moment_system(pair: NikishinPair, index: IndexPair) -> list:
@@ -550,7 +564,7 @@ class ZeroSet:
         return fixed(self.zeros, 0)
 
 
-SCAN_GRID_FACTOR = 16
+SCAN_GRID_FACTOR = 4
 SCAN_GRID_CAP = 4096
 
 
@@ -656,18 +670,22 @@ def _atom_scan_points(measure, lo, hi, rel_tol):
 
 def extract_Q(solution: MopSolution, j: int) -> ZeroSet:
     """Locate the zeros of the form A_j inside the hull of the unified
-    measure j by a sign scan on a Chebyshev-distributed grid (16x the
+    measure j by a sign scan on a Chebyshev-distributed grid (4x the
     predicted count, doubled on shortfall up to 4096 points), built in
     ints from one mp.cos (``_scan_grid``).  When the measure carries mass
-    points the sorted ladders from _atom_scan_points are merged into the
-    grid.  Every scan value comes from ``MopSolution.form``, that is from
-    the level's ``FormKernel``.
+    points and the plain grid finds fewer sign changes than predicted, the
+    level's atom ladder (``NikishinPair.scan_ladder``) is merged into the
+    grid before any doubling, and stays merged.  Every scan value comes
+    from ``MopSolution.form``, that is from the level's ``FormKernel``, and
+    no point is evaluated twice: a rescan evaluates only its new points.
 
-    Each sign bracket is refined by a safeguarded Newton iteration on
-    ``MopSolution.form_and_slope`` (_safeguarded_newton): Newton steps that
-    stay inside the bracket and at least halve every second step, bisection
-    otherwise, stopping once a step falls within
-    ``refine_tolerance(bits) * max(1, |a|, |b|)`` of the bracket [a, b].
+    The predicted count is exact, so once the scan finds it every bracket
+    holds exactly one zero.  Each sign bracket is refined by a safeguarded
+    Newton iteration on ``MopSolution.form_and_slope``
+    (_safeguarded_newton): Newton steps that stay inside the bracket and
+    at least halve every second step, bisection otherwise, stopping once a
+    step falls within ``refine_tolerance(bits) * max(1, |a|, |b|)`` of the
+    bracket [a, b].
 
     Raises ZeroCountMismatch when the count cannot be realized: that is a
     genuine structural failure, not something to paper over.
@@ -680,25 +698,25 @@ def extract_Q(solution: MopSolution, j: int) -> ZeroSet:
     expected = index.zero_count(j)
     if expected <= 0:
         return ZeroSet(j=j, zeros=(), expected=0)
-    lo, hi = solution.pair.hull(j)
+    pair = solution.pair
+    lo, hi = pair.hull(j)
     bits = solution.precision_bits
     rel_tol = refine_tolerance(bits)
+    values = {}
 
     def f(x):
-        return solution.form(j, x)
+        if x not in values:
+            values[x] = solution.form(j, x)
+        return values[x]
 
     def fdf(x):
         return solution.form_and_slope(j, x)
 
     with working(bits):
-        ladder = sorted(
-            _atom_scan_points(solution.pair.measure(j), lo, hi, rel_tol)
-        )
         grid_size = min(SCAN_GRID_FACTOR * expected, SCAN_GRID_CAP)
+        xs = grid = _scan_grid(lo, hi, grid_size, bits)
+        ladder = None  # merged after the first shortfall on a level with atoms
         while True:
-            xs = _scan_grid(lo, hi, grid_size, bits)
-            if ladder:
-                xs = _merge_sorted(xs, ladder)
             vals = [f(x) for x in xs]
             zeros = []
             brackets = []
@@ -717,12 +735,17 @@ def extract_Q(solution: MopSolution, j: int) -> ZeroSet:
                 )
             if found == expected:
                 break
-            if grid_size >= SCAN_GRID_CAP:
-                raise ZeroCountMismatch(
-                    f"form {j} of {index}: only {found} sign changes up to a "
-                    f"{len(xs)}-point grid, predicted {expected}"
-                )
-            grid_size = min(2 * grid_size, SCAN_GRID_CAP)
+            if ladder is None and pair.measure(j).atoms:
+                ladder = pair.scan_ladder(j, bits)
+            else:
+                if grid_size >= SCAN_GRID_CAP:
+                    raise ZeroCountMismatch(
+                        f"form {j} of {index}: only {found} sign changes up "
+                        f"to a {len(xs)}-point grid, predicted {expected}"
+                    )
+                grid_size = min(2 * grid_size, SCAN_GRID_CAP)
+                grid = _scan_grid(lo, hi, grid_size, bits)
+            xs = _merge_sorted(grid, ladder) if ladder else grid
         for i in brackets:
             zeros.append(
                 _safeguarded_newton(

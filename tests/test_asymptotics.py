@@ -1,12 +1,11 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import mp
 
 from nikmop.asymptotics import (
-    IndexRay,
     balanced_base,
     boundary_modulus,
     boundary_product_harness,

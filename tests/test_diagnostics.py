@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import mp
 
@@ -16,7 +16,6 @@ from nikmop.diagnostics import (
     support_gaps,
 )
 from nikmop.mop import IndexPair, compute_varying_data, extract_cached, solve_cached
-from nikmop.precision import working
 
 from conftest import BASE, BITS, DOWN1, UP1, make_pair
 

@@ -1,3 +1,5 @@
+import bisect
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -314,6 +316,80 @@ def test_extract_matches_fsum_reference(request, name, max_size):
             with working(BITS):
                 for z, ref in zip(got, want):
                     assert abs(z - ref) <= tol * max(1, abs(z)), (index, j)
+
+
+def test_shortfall_doubles_the_grid(pair11, monkeypatch):
+    # At one point per predicted zero, two zeros of A_0 share a cell of the
+    # first grid, so its sign scan falls short; the count must come out of
+    # the doubled grid, and the zeros must still be the reference zeros.
+    monkeypatch.setattr(mop, "SCAN_GRID_FACTOR", 1)
+    grids = []
+    scan_grid = mop._scan_grid
+
+    def counting(lo, hi, size, bits):
+        grids.append(size)
+        return scan_grid(lo, hi, size, bits)
+
+    monkeypatch.setattr(mop, "_scan_grid", counting)
+    index = IndexPair((3, 2), (3, 1))
+    sol = solve_cached(pair11, index)
+    got = extract_Q(sol, 0).zeros
+    expected = index.zero_count(0)
+    assert grids[0] == expected and len(grids) >= 2
+    lo, hi = pair11.hull(0)
+    with working(BITS):
+        first = mop._scan_grid(lo, hi, expected, BITS)
+    cells = [bisect.bisect(first, z) for z in got]
+    assert len(set(cells)) < len(cells)
+    want = bisection_zeros(sol, 0)
+    assert len(got) == len(want) == expected
+    tol = refine_tolerance(BITS)
+    with working(BITS):
+        for z, ref in zip(got, want):
+            assert abs(z - ref) <= tol * max(1, abs(z))
+
+
+def test_atom_ladder_built_once_and_merged_on_shortfall(atom_pair, monkeypatch):
+    # A fresh pair over the same systems holds no ladder yet.  Across the
+    # sweep the ladder of level 0 is built once, merged only by the
+    # extractions whose plain grid falls short, and no extraction
+    # evaluates a point twice.
+    pair = atom_pair.swapped()
+    built, merged, points = [], [], []
+    atom_scan_points = mop._atom_scan_points
+    scan_ladder = mop.NikishinPair.scan_ladder
+    form = MopSolution.form
+
+    def counting_build(measure, lo, hi, rel_tol):
+        built.append(measure)
+        return atom_scan_points(measure, lo, hi, rel_tol)
+
+    def counting_merge(self, j, bits):
+        merged.append((j, bits, len(points)))
+        return scan_ladder(self, j, bits)
+
+    def counting_form(self, j, z):
+        points.append(z)
+        return form(self, j, z)
+
+    monkeypatch.setattr(mop, "_atom_scan_points", counting_build)
+    monkeypatch.setattr(mop.NikishinPair, "scan_ladder", counting_merge)
+    monkeypatch.setattr(MopSolution, "form", counting_form)
+    extractions = 0
+    for index in decreasing_indices(pair.m1, pair.m2, 10):
+        sol = solve_cached(pair, index)
+        points.clear()
+        before = len(merged)
+        zs = extract_Q(sol, 0)
+        extractions += 1
+        assert len(zs.zeros) == index.zero_count(0)
+        assert len(points) == len(set(points)), index
+        # Only the plain grid was scanned when the ladder was asked for.
+        for _, _, seen in merged[before:]:
+            assert seen == mop.SCAN_GRID_FACTOR * index.zero_count(0), index
+    assert 1 <= len(merged) < extractions
+    assert {(j, bits) for j, bits, _ in merged} == {(0, BITS)}
+    assert len(built) == 1
 
 
 def test_fsum_reference_form_matches_kernel_form(pair21):
