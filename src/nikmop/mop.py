@@ -231,15 +231,16 @@ class NikishinPair:
         return self._cache[key]
 
     def scan_ladder(self, j: int, bits: int) -> tuple:
-        """The atom ladders of the unified measure j at ``bits``
-        (``_atom_scan_points``), ascending; built on first use."""
+        """The atom ladder of the unified measure j at ``bits``
+        (``_atom_scan_points``): one ascending rung per decade, outermost
+        first; built on first use."""
         key = ("ladder", j, bits)
         if key not in self._cache:
             lo, hi = self.hull(j)
             rel_tol = refine_tolerance(bits)
             with working(bits):
-                self._cache[key] = tuple(
-                    sorted(_atom_scan_points(self.measure(j), lo, hi, rel_tol))
+                self._cache[key] = _atom_scan_points(
+                    self.measure(j), lo, hi, rel_tol
                 )
         return self._cache[key]
 
@@ -413,6 +414,15 @@ class MopSolution:
             self._cache[key] = FormKernel(terms, self.precision_bits)
         return self._cache[key]
 
+    def _base_densities(self) -> list:
+        """shat1_{1,k} on the base support for every nonempty block k: the
+        stand-ins for the level-0 Cauchy sums there."""
+        return [
+            self.pair.base_density1(k)
+            for k in range(self.index.m1 + 1)
+            if self.coeffs[k]
+        ]
+
     def _neg_chain(self, t: int) -> tuple:
         """Values of A_{-t} on the support of the second system's generator
         t.  For t = 0 (A_0 on the base) the cached densities shat1_{1,k}
@@ -423,11 +433,7 @@ class MopSolution:
             points = self.pair.s2.generators[t].support_points
             with working(self.precision_bits):
                 if t == 0:
-                    dens = [
-                        self.pair.base_density1(k)
-                        for k in range(self.index.m1 + 1)
-                        if self.coeffs[k]
-                    ]
+                    dens = self._base_densities()
                     vals = [
                         kernel(x, factors=[d[p] for d in dens])
                         for p, x in enumerate(points)
@@ -452,6 +458,24 @@ class MopSolution:
                     self.form(j, x) for x in meas.support_points
                 )
         return self._cache[key]
+
+    def support_value(self, j: int, p: int):
+        """``form_on_support(j)[p]``, the same number: read from that tuple
+        when it is cached, computed alone at point p otherwise."""
+        if j > self.index.m1 or j < -self.index.m2:
+            raise IndexError(f"support index {j} out of range")
+        key = ("chain", -j) if j <= 0 else ("support", j)
+        if key in self._cache:
+            return self._cache[key][p]
+        if j > 0:
+            return self.form(j, self.pair.s1.generators[j].support_points[p])
+        kernel = self._form_kernel(j)
+        x = self.pair.s2.generators[-j].support_points[p]
+        with working(self.precision_bits):
+            if j == 0:
+                dens = self._base_densities()
+                return kernel(x, factors=[d[p] for d in dens])
+            return kernel(x)
 
 
 def solve_mop(pair: NikishinPair, index: IndexPair) -> MopSolution:
@@ -637,17 +661,19 @@ def _scan_grid(lo, hi, size: int, bits: int) -> list:
     return [to_mp(mid + rad * c, out) for c in reversed(cosines)]
 
 
-def _merge_sorted(a: list, b: list) -> list:
-    """The union of two ascending lists, ascending, without repeats."""
+def _merge_sorted(*lists) -> list:
+    """The union of ascending lists, ascending, without repeats."""
     out = []
-    for x in heapq.merge(a, b):
+    for x in heapq.merge(*lists):
         if not out or x != out[-1]:
             out.append(x)
     return out
 
 
-def _atom_scan_points(measure, lo, hi, rel_tol):
-    """Geometric ladders of scan points closing in on each mass point.
+def _atom_scan_points(measure, lo, hi, rel_tol) -> tuple:
+    """Geometric ladders of scan points closing in on each mass point, as
+    rungs: rung d holds, ascending, the points rad / 10^(d+1) to either
+    side of every atom that lie inside the hull (rad its half width).
 
     Zeros are attracted to atoms at a geometric rate in the index size,
     so past a modest size the nearest zero falls between consecutive
@@ -655,17 +681,17 @@ def _atom_scan_points(measure, lo, hi, rel_tol):
     refinement tolerance keep one scan point on each side of the zero
     no matter how close it has crept.
     """
-    pts = []
-    rad = (hi - lo) / 2
-    decades = int(mp.ceil(-mp.log10(rel_tol))) + 2
-    for loc, _ in measure.atoms:
-        step = rad
-        for _ in range(decades):
-            step = step / 10
-            for x in (loc - step, loc + step):
-                if lo < x < hi:
-                    pts.append(x)
-    return pts
+    rungs = []
+    step = (hi - lo) / 2
+    for _ in range(int(mp.ceil(-mp.log10(rel_tol))) + 2):
+        step = step / 10
+        rungs.append(tuple(sorted(
+            x
+            for loc, _ in measure.atoms
+            for x in (loc - step, loc + step)
+            if lo < x < hi
+        )))
+    return tuple(rungs)
 
 
 def extract_Q(solution: MopSolution, j: int) -> ZeroSet:
@@ -674,18 +700,21 @@ def extract_Q(solution: MopSolution, j: int) -> ZeroSet:
     predicted count, doubled on shortfall up to 4096 points), built in
     ints from one mp.cos (``_scan_grid``).  When the measure carries mass
     points and the plain grid finds fewer sign changes than predicted, the
-    level's atom ladder (``NikishinPair.scan_ladder``) is merged into the
-    grid before any doubling, and stays merged.  Every scan value comes
-    from ``MopSolution.form``, that is from the level's ``FormKernel``, and
-    no point is evaluated twice: a rescan evaluates only its new points.
+    level's atom ladder (``NikishinPair.scan_ladder``) is walked inward
+    before any doubling: one decade at a time is merged into the grid,
+    outermost first, until the scan finds the predicted count.  A ladder
+    walked to its end stays merged for the doubled grids.  Every scan
+    value comes from ``MopSolution.form``, that is from the level's
+    ``FormKernel``, and no point is evaluated twice: a rescan evaluates
+    only its new points.
 
     The predicted count is exact, so once the scan finds it every bracket
-    holds exactly one zero.  Each sign bracket is refined by a safeguarded
-    Newton iteration on ``MopSolution.form_and_slope``
-    (_safeguarded_newton): Newton steps that stay inside the bracket and
-    at least halve every second step, bisection otherwise, stopping once a
-    step falls within ``refine_tolerance(bits) * max(1, |a|, |b|)`` of the
-    bracket [a, b].
+    holds exactly one zero, and the walk can stop there.  Each sign
+    bracket is refined by a safeguarded Newton iteration on
+    ``MopSolution.form_and_slope`` (_safeguarded_newton): Newton steps
+    that stay inside the bracket and at least halve every second step,
+    bisection otherwise, stopping once a step falls within
+    ``refine_tolerance(bits) * max(1, |a|, |b|)`` of the bracket [a, b].
 
     Raises ZeroCountMismatch when the count cannot be realized: that is a
     genuine structural failure, not something to paper over.
@@ -714,8 +743,9 @@ def extract_Q(solution: MopSolution, j: int) -> ZeroSet:
 
     with working(bits):
         grid_size = min(SCAN_GRID_FACTOR * expected, SCAN_GRID_CAP)
-        xs = grid = _scan_grid(lo, hi, grid_size, bits)
-        ladder = None  # merged after the first shortfall on a level with atoms
+        xs = _scan_grid(lo, hi, grid_size, bits)
+        rungs = None  # the atom ladder, asked for at the first shortfall
+        walked = 0
         while True:
             vals = [f(x) for x in xs]
             zeros = []
@@ -735,17 +765,20 @@ def extract_Q(solution: MopSolution, j: int) -> ZeroSet:
                 )
             if found == expected:
                 break
-            if ladder is None and pair.measure(j).atoms:
-                ladder = pair.scan_ladder(j, bits)
-            else:
-                if grid_size >= SCAN_GRID_CAP:
-                    raise ZeroCountMismatch(
-                        f"form {j} of {index}: only {found} sign changes up "
-                        f"to a {len(xs)}-point grid, predicted {expected}"
-                    )
-                grid_size = min(2 * grid_size, SCAN_GRID_CAP)
-                grid = _scan_grid(lo, hi, grid_size, bits)
-            xs = _merge_sorted(grid, ladder) if ladder else grid
+            if rungs is None:
+                atoms = pair.measure(j).atoms
+                rungs = pair.scan_ladder(j, bits) if atoms else ()
+            if walked < len(rungs):
+                xs = _merge_sorted(xs, rungs[walked])
+                walked += 1
+                continue
+            if grid_size >= SCAN_GRID_CAP:
+                raise ZeroCountMismatch(
+                    f"form {j} of {index}: only {found} sign changes up "
+                    f"to a {len(xs)}-point grid, predicted {expected}"
+                )
+            grid_size = min(2 * grid_size, SCAN_GRID_CAP)
+            xs = _merge_sorted(_scan_grid(lo, hi, grid_size, bits), *rungs)
         for i in brackets:
             zeros.append(
                 _safeguarded_newton(
@@ -768,12 +801,51 @@ class VaryingData:
     ``K[j]`` is the inverse square root of the weighted L2 mass of
     Q_j * A_j / Q_{j-1} over the unified measure j (with K at m1+1 equal to
     one); ``kappa[j] = K[j] / K[j+1]``; ``epsilon[j]`` is the sign of the
-    varying measure rho_j on its interval.
+    varying measure rho_j on its interval.  ``epsilon`` comes with the
+    data; ``K`` and ``kappa`` are computed on first read, since they need
+    A_j on every support point and the ``diagnostics`` kind reads only the
+    signs.
     """
 
-    K: dict
-    kappa: dict
+    solution: MopSolution = field(repr=False)
+    zero_sets: dict = field(repr=False)
     epsilon: dict
+
+    @functools.cached_property
+    def K(self) -> dict:
+        """Sums |w| |Q_j A_j / Q_{j-1}| over the support of the unified
+        measure j, with A_j from ``form_on_support`` and each Q from the
+        fixed-point product ``ZeroSet.poly_eval``."""
+        sol = self.solution
+        index = sol.index
+        K = {index.m1 + 1: mp.mpf(1)}
+        with working(sol.precision_bits):
+            for j in range(index.m1, -index.m2 - 1, -1):
+                meas = sol.pair.measure(j)
+                vals = sol.form_on_support(j)
+                q_here = self.zero_sets[j]
+                q_lo = self.zero_sets.get(j - 1)
+                mass = mp.mpf(0)
+                for w, x, av in zip(
+                    meas.signed_weights, meas.support_points, vals
+                ):
+                    lo = q_lo.poly_eval(x) if q_lo else mp.mpf(1)
+                    mass += abs(w) * abs(q_here.poly_eval(x) * av / lo)
+                if mass == 0:
+                    raise ZeroCountMismatch(
+                        f"degenerate varying mass at level {j}"
+                    )
+                K[j] = 1 / mp.sqrt(mass)
+        return K
+
+    @functools.cached_property
+    def kappa(self) -> dict:
+        K = self.K
+        index = self.solution.index
+        with working(self.solution.precision_bits):
+            return {
+                j: K[j] / K[j + 1] for j in range(index.m1, -index.m2 - 1, -1)
+            }
 
 
 def _gap_to(zeros: tuple, x):
@@ -785,49 +857,51 @@ def _gap_to(zeros: tuple, x):
     return min(abs(x - r) for r in zeros[max(i - 1, 0) : i + 1])
 
 
+def _reference_index(zeros: tuple, measure: DiscretizedMeasure) -> int:
+    """Index of the support point of ``measure`` farthest from the
+    ascending ``zeros`` by ``_gap_to``, the first one on ties.
+
+    The distance grows outward past the outer zeros and falls off both
+    sides of each midpoint between consecutive zeros, so among the
+    ascending nodes only the first, the last and the two around each
+    midpoint can be farthest.  The mass points follow the nodes in
+    ``support_points`` and are all candidates.  The midpoints are exact.
+    """
+    pts = measure.support_points
+    nodes = measure.nodes
+    last = len(nodes) - 1
+    candidates = {0, last, *range(len(nodes), len(pts))}
+    for a, b in zip(zeros, zeros[1:]):
+        k = bisect.bisect_left(nodes, mp.ldexp(mp.fadd(a, b, exact=True), -1))
+        candidates.update((max(k - 1, 0), min(k, last)))
+    return max(sorted(candidates), key=lambda i: _gap_to(zeros, pts[i]))
+
+
 def compute_varying_data(solution: MopSolution, zero_sets: dict) -> VaryingData:
     """Constants K, kappa, epsilon from the extracted zero sets (one
     ZeroSet per j in [-m2, m1]).
 
-    K[j] sums |w| |Q_j A_j / Q_{j-1}| over the support of the unified
-    measure j, with A_j from ``form_on_support`` and each Q from the
-    fixed-point product ``ZeroSet.poly_eval``.  epsilon[j] is read at the
-    support point farthest from the zeros of Q_j, each point's distance
-    taken to the two zeros that bracket it (a bisection of the ascending
-    zeros, ``_gap_to``).
+    epsilon[j] is read at the support point of the unified measure j
+    farthest from the zeros of Q_j (``_reference_index``), from the one
+    value of A_j there (``MopSolution.support_value``).  K and kappa are
+    computed on first read (``VaryingData.K``).
     """
     index = solution.index
     pair = solution.pair
-    bits = solution.precision_bits
-    K = {index.m1 + 1: mp.mpf(1)}
     epsilon = {}
-    with working(bits):
+    with working(solution.precision_bits):
         for j in range(index.m1, -index.m2 - 1, -1):
             meas = pair.measure(j)
-            vals = solution.form_on_support(j)
             q_here = zero_sets[j]
             q_lo = zero_sets.get(j - 1)
-            mass = mp.mpf(0)
-            for w, x, av in zip(meas.signed_weights, meas.support_points, vals):
-                lo = q_lo.poly_eval(x) if q_lo else mp.mpf(1)
-                mass += abs(w) * abs(q_here.poly_eval(x) * av / lo)
-            if mass == 0:
-                raise ZeroCountMismatch(f"degenerate varying mass at level {j}")
-            K[j] = 1 / mp.sqrt(mass)
             # sign of rho_j = sign(measure) * sign(A_j / Q_j) * sign(Q_{j-1}),
             # constant on the interval; read it at the support point farthest
             # from the zeros of Q_j.
-            pts = meas.support_points
-            ref_pos = max(
-                range(len(pts)), key=lambda i: _gap_to(q_here.zeros, pts[i])
-            )
-            ref = pts[ref_pos]
-            av = vals[ref_pos]
-            ratio = av / q_here.poly_eval(ref)
+            ref_pos = _reference_index(q_here.zeros, meas)
+            ref = meas.support_points[ref_pos]
+            ratio = solution.support_value(j, ref_pos) / q_here.poly_eval(ref)
             lo_val = q_lo.poly_eval(ref) if q_lo else mp.mpf(1)
-            sgn = meas.sign * (1 if ratio > 0 else -1) * (1 if lo_val > 0 else -1)
-            epsilon[j] = sgn
-        kappa = {
-            j: K[j] / K[j + 1] for j in range(index.m1, -index.m2 - 1, -1)
-        }
-    return VaryingData(K=K, kappa=kappa, epsilon=epsilon)
+            epsilon[j] = (
+                meas.sign * (1 if ratio > 0 else -1) * (1 if lo_val > 0 else -1)
+            )
+    return VaryingData(solution=solution, zero_sets=zero_sets, epsilon=epsilon)

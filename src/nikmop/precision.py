@@ -32,8 +32,8 @@ def working(bits: int):
     return mp.workprec(bits)
 
 
-# The two thresholds below are fixed mpf values of ``bits`` alone, taken
-# at ``working(bits)`` once per ``bits`` rather than once per solve.
+# The thresholds below are fixed mpf values of ``bits`` alone, taken at
+# ``working(bits)`` once per ``bits`` whatever the caller's precision.
 
 
 @functools.lru_cache(maxsize=None)
@@ -53,6 +53,8 @@ def lead_threshold(bits: int):
         )
 
 
+@functools.lru_cache(maxsize=None)
 def refine_tolerance(bits: int):
     """Relative step size at which zero refinement stops."""
-    return mp.mpf(10) ** (-REFINE_EXPONENT_FRACTION * bits)
+    with working(bits):
+        return mp.mpf(10) ** (-REFINE_EXPONENT_FRACTION * bits)

@@ -351,45 +351,105 @@ def test_shortfall_doubles_the_grid(pair11, monkeypatch):
 
 def test_atom_ladder_built_once_and_merged_on_shortfall(atom_pair, monkeypatch):
     # A fresh pair over the same systems holds no ladder yet.  Across the
-    # sweep the ladder of level 0 is built once, merged only by the
-    # extractions whose plain grid falls short, and no extraction
-    # evaluates a point twice.
+    # sweep the ladder of level 0 is built once; an extraction whose plain
+    # grid falls short merges it one rung at a time, outermost first, and
+    # stops at the predicted count; no extraction evaluates a point twice.
     pair = atom_pair.swapped()
-    built, merged, points = [], [], []
+    built, asked, merges, points = [], [], [], []
     atom_scan_points = mop._atom_scan_points
     scan_ladder = mop.NikishinPair.scan_ladder
+    merge_sorted = mop._merge_sorted
     form = MopSolution.form
 
     def counting_build(measure, lo, hi, rel_tol):
         built.append(measure)
         return atom_scan_points(measure, lo, hi, rel_tol)
 
-    def counting_merge(self, j, bits):
-        merged.append((j, bits, len(points)))
+    def counting_ask(self, j, bits):
+        asked.append((j, bits, len(points)))
         return scan_ladder(self, j, bits)
+
+    def counting_merge(*lists):
+        merges.append(lists)
+        return merge_sorted(*lists)
 
     def counting_form(self, j, z):
         points.append(z)
         return form(self, j, z)
 
     monkeypatch.setattr(mop, "_atom_scan_points", counting_build)
-    monkeypatch.setattr(mop.NikishinPair, "scan_ladder", counting_merge)
+    monkeypatch.setattr(mop.NikishinPair, "scan_ladder", counting_ask)
+    monkeypatch.setattr(mop, "_merge_sorted", counting_merge)
     monkeypatch.setattr(MopSolution, "form", counting_form)
-    extractions = 0
+    walks = []
     for index in decreasing_indices(pair.m1, pair.m2, 10):
         sol = solve_cached(pair, index)
         points.clear()
-        before = len(merged)
+        merges.clear()
+        before = len(asked)
         zs = extract_Q(sol, 0)
-        extractions += 1
         assert len(zs.zeros) == index.zero_count(0)
         assert len(points) == len(set(points)), index
         # Only the plain grid was scanned when the ladder was asked for.
-        for _, _, seen in merged[before:]:
+        for _, _, seen in asked[before:]:
             assert seen == mop.SCAN_GRID_FACTOR * index.zero_count(0), index
-    assert 1 <= len(merged) < extractions
-    assert {(j, bits) for j, bits, _ in merged} == {(0, BITS)}
+        if merges:
+            rungs = scan_ladder(pair, 0, BITS)
+            assert [rung for _, rung in merges] == list(rungs[: len(merges)])
+            walks.append(len(merges))
+    assert {(j, bits) for j, bits, _ in asked} == {(0, BITS)}
     assert len(built) == 1
+    assert walks and len(walks) < len(decreasing_indices(pair.m1, pair.m2, 10))
+    assert min(walks) < len(scan_ladder(pair, 0, BITS))
+    # Once per (level, bits): another precision builds its own ladder.
+    pair.scan_ladder(0, BITS)
+    pair.scan_ladder(0, HI_BITS)
+    assert len(built) == 2
+
+
+def test_walked_out_ladder_stays_merged_for_doubling(atom_pair, monkeypatch):
+    # At one point per predicted zero, A_0 of (5; 4) on the atom pair still
+    # falls short with every rung merged, so the scan doubles its grid with
+    # the whole ladder merged into it.
+    monkeypatch.setattr(mop, "SCAN_GRID_FACTOR", 1)
+    merges = []
+    merge_sorted = mop._merge_sorted
+
+    def counting_merge(*lists):
+        merges.append(lists)
+        return merge_sorted(*lists)
+
+    monkeypatch.setattr(mop, "_merge_sorted", counting_merge)
+    index = IndexPair((5,), (4,))
+    sol = solve_mop(atom_pair, index)
+    got = extract_Q(sol, 0).zeros
+    rungs = atom_pair.scan_ladder(0, BITS)
+    walked = [lists[1] for lists in merges if len(lists) == 2]
+    assert walked == list(rungs)
+    doubled = [lists for lists in merges if len(lists) > 2]
+    assert doubled and all(lists[1:] == rungs for lists in doubled)
+    want = bisection_zeros(sol, 0)
+    assert len(got) == len(want) == index.zero_count(0)
+    tol = refine_tolerance(BITS)
+    with working(BITS):
+        for z, ref in zip(got, want):
+            assert abs(z - ref) <= tol * max(1, abs(z))
+
+
+@pytest.mark.parametrize("bits, decades", [(BITS, 66), (HI_BITS, 130)])
+def test_scan_ladder_length_ignores_the_ambient_precision(
+    atom_pair, bits, decades
+):
+    # The refinement tolerance, and with it the ladder's decade count, is a
+    # value of ``bits`` alone, whichever precision the first caller holds.
+    tolerances, lengths = set(), set()
+    for ambient in (53, 256, 512):
+        refine_tolerance.cache_clear()
+        with working(ambient):
+            tolerances.add(refine_tolerance(bits))
+            lengths.add(len(atom_pair.swapped().scan_ladder(0, bits)))
+    assert len(tolerances) == 1
+    assert lengths == {decades}
 
 
 def test_fsum_reference_form_matches_kernel_form(pair21):
@@ -603,6 +663,123 @@ def test_classical_varying_constant():
         assert abs(vd.kappa[0] - want) / want < FLOOR
         assert vd.epsilon[0] == 1
         assert vd.K[1] == 1
+
+
+def eager_varying_data(solution, zero_sets):
+    """Reference K, kappa, epsilon and reference indices: every support
+    value of every level, the reference point found by a full scan of the
+    support."""
+    from nikmop.mop import ZeroCountMismatch, _gap_to
+
+    index = solution.index
+    pair = solution.pair
+    K = {index.m1 + 1: mp.mpf(1)}
+    epsilon = {}
+    refs = {}
+    with working(solution.precision_bits):
+        for j in range(index.m1, -index.m2 - 1, -1):
+            meas = pair.measure(j)
+            vals = solution.form_on_support(j)
+            q_here = zero_sets[j]
+            q_lo = zero_sets.get(j - 1)
+            mass = mp.mpf(0)
+            for w, x, av in zip(meas.signed_weights, meas.support_points, vals):
+                lo = q_lo.poly_eval(x) if q_lo else mp.mpf(1)
+                mass += abs(w) * abs(q_here.poly_eval(x) * av / lo)
+            if mass == 0:
+                raise ZeroCountMismatch(f"degenerate varying mass at level {j}")
+            K[j] = 1 / mp.sqrt(mass)
+            pts = meas.support_points
+            ref_pos = max(
+                range(len(pts)), key=lambda i: _gap_to(q_here.zeros, pts[i])
+            )
+            refs[j] = ref_pos
+            ref = pts[ref_pos]
+            ratio = vals[ref_pos] / q_here.poly_eval(ref)
+            lo_val = q_lo.poly_eval(ref) if q_lo else mp.mpf(1)
+            epsilon[j] = (
+                meas.sign * (1 if ratio > 0 else -1) * (1 if lo_val > 0 else -1)
+            )
+        kappa = {
+            j: K[j] / K[j + 1] for j in range(index.m1, -index.m2 - 1, -1)
+        }
+    return K, kappa, epsilon, refs
+
+
+@pytest.mark.parametrize("name, max_size", [("pair11", 5), ("atom_pair", 10)])
+def test_varying_data_matches_eager_reference(request, name, max_size):
+    # epsilon from one support value per level, and K and kappa on first
+    # read, equal the eager computation exactly; reading epsilon alone
+    # leaves A_{-m2} on the last generator's support uncomputed.
+    from nikmop.mop import _reference_index, compute_varying_data
+
+    pair = request.getfixturevalue(name)
+    empty_levels = 0
+    for index in decreasing_indices(pair.m1, pair.m2, max_size):
+        if index.n1[pair.m1] < 1:
+            continue  # the top form vanishes: no varying data
+        levels = range(-index.m2, index.m1 + 1)
+        ref_sol = solve_cached(pair, index)
+        zsets = {j: extract_cached(ref_sol, j) for j in levels}
+        K, kappa, epsilon, refs = eager_varying_data(ref_sol, zsets)
+        sol = solve_mop(pair, index)
+        for j in levels:
+            extract_Q(sol, j)
+        vd = compute_varying_data(sol, zsets)
+        assert vd.epsilon == epsilon, index
+        assert ("chain", index.m2) not in sol._cache, index
+        assert vd.K == K and vd.kappa == kappa, index
+        for j in levels:
+            meas = pair.measure(j)
+            assert _reference_index(zsets[j].zeros, meas) == refs[j], (index, j)
+            empty_levels += not zsets[j].zeros
+    assert empty_levels
+
+
+def test_reference_index_matches_full_scan(pair11, atom_pair):
+    # Laid-out zeros: none, mirrored pairs (equal gaps, first index wins),
+    # zeros on nodes, a midpoint on a node, zeros outside the hull, and a
+    # mass point as the farthest point.
+    from nikmop.mop import _gap_to, _reference_index
+
+    for meas in (pair11.measure(0), pair11.measure(1), atom_pair.measure(0)):
+        nodes = meas.nodes
+        n = len(nodes)
+        with working(BITS):
+            layouts = [
+                (),
+                (nodes[n // 2],),
+                (-nodes[-3], nodes[-3]) if nodes[0] < 0 else (),
+                (nodes[3], nodes[7], nodes[20]),
+                (nodes[4], 2 * nodes[6] - nodes[4]),
+                (nodes[0] - 1, nodes[-1] + 1),
+                (nodes[0] - 1,),
+                tuple(nodes[1:-1:9]),
+                (nodes[5], nodes[-5]),
+            ]
+        pts = meas.support_points
+        for zeros in layouts:
+            zeros = tuple(sorted(zeros))
+            with working(BITS):
+                want = max(range(len(pts)), key=lambda i: _gap_to(zeros, pts[i]))
+                assert _reference_index(zeros, meas) == want, zeros
+
+
+def test_support_value_is_the_support_tuple_entry(pair11, atom_pair):
+    # Computed alone or read from the cached tuple, each value is the
+    # number ``form_on_support`` holds, on every level.
+    for pair, index in ((pair11, IndexPair((3, 2), (3, 1))),
+                        (atom_pair, IndexPair((6,), (5,)))):
+        alone = solve_mop(pair, index)
+        tuples = solve_mop(pair, index)
+        # Downward, so no level's tuple is cached before it is read alone.
+        for j in range(index.m1, -index.m2 - 1, -1):
+            key = ("support", j) if j > 0 else ("chain", -j)
+            assert key not in alone._cache
+            want = tuples.form_on_support(j)
+            got = [alone.support_value(j, p) for p in range(len(want))]
+            assert got == list(want), j
+            assert [tuples.support_value(j, p) for p in range(len(want))] == got
 
 
 def test_normality_violation_names_precision():
