@@ -79,11 +79,12 @@ class WeightSpec:
     """Declarative description of one generating measure.
 
     ``family`` is one of ``chebyshev1``, ``chebyshev2``, ``legendre``,
-    ``jacobi`` (the last needs ``alpha``/``beta`` > -1).  ``interval`` is the
-    support of the continuous part; the classical weight is pushed forward
-    affinely from [-1, 1], so Gauss weights are unchanged by the map.
+    ``jacobi`` (the last needs ``alpha``/``beta`` > -1, which no other
+    family accepts).  ``interval`` is the support of the continuous part;
+    the classical weight is pushed forward affinely from [-1, 1], so Gauss
+    weights are unchanged by the map.
     ``mass_points`` is a tuple of (location, mass) pairs with positive mass.
-    ``sign`` multiplies the whole measure.
+    ``sign``, the int 1 or -1, multiplies the whole measure.
     """
 
     family: str
@@ -102,18 +103,25 @@ class WeightSpec:
         )
         if len(ends) != 2 or None in ends or not ends[0] < ends[1]:
             raise MeasureError(f"interval must be (a, b) with a < b, got {self.interval!r}")
-        if self.sign not in (-1, 1):
-            raise MeasureError(f"sign must be +1 or -1, got {self.sign!r}")
+        # type, not equality: True == 1 and 1.0 == 1, but they hash apart
+        if type(self.sign) is not int or self.sign not in (-1, 1):
+            raise MeasureError(f"sign must be the int +1 or -1, got {self.sign!r}")
         exps = [_number(v) for v in (self.alpha, self.beta) if v is not None]
         if None in exps:
             raise MeasureError(
                 f"alpha and beta must be numbers, got {self.alpha!r}, {self.beta!r}"
             )
-        if self.family == "jacobi":
-            if len(exps) != 2:
-                raise MeasureError("jacobi weight needs alpha and beta")
-            if not min(exps) > -1:
-                raise MeasureError("jacobi exponents must exceed -1")
+        if self.family != "jacobi":
+            for name in ("alpha", "beta"):
+                if getattr(self, name) is not None:
+                    raise MeasureError(
+                        f"{name} is read only by the jacobi family, got "
+                        f"{name}={getattr(self, name)!r} on {self.family!r}"
+                    )
+        elif len(exps) != 2:
+            raise MeasureError("jacobi weight needs alpha and beta")
+        elif not min(exps) > -1:
+            raise MeasureError("jacobi exponents must exceed -1")
         if not isinstance(self.mass_points, (tuple, list)):
             raise MeasureError(
                 f"mass_points must be a list of (location, mass) pairs, got "

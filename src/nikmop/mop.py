@@ -383,9 +383,9 @@ class MopSolution:
 
     def _form_kernel(self, j: int) -> FormKernel:
         """The int kernel of A_j: the blocks a_k, k >= j, times the
-        transforms shat1_{j+1,k} for j >= 0; for j < 0 the Cauchy sum over
-        the point masses of the second system's generator -j-1 times the
-        values of A_{j+1} on its support."""
+        transforms shat1_{j+1,k} for j >= 0; for j < 0 the Cauchy sum of
+        A_{j+1} against the unified measure j + 1, over its point masses
+        with the values ``form_on_support(j + 1)``."""
         m1, m2 = self.index.m1, self.index.m2
         if j > m1 or j < -m2 - 1:
             raise IndexError(f"form index {j} out of range")
@@ -399,12 +399,11 @@ class MopSolution:
                     if self.coeffs[k]
                 ]
             else:
-                t = -j - 1
-                src = self.pair.s2.generators[t]
+                src = self.pair.measure(j + 1)
+                vals = self.form_on_support(j + 1)
                 with working(self.precision_bits):
                     weights = tuple(
-                        w * v
-                        for w, v in zip(src.signed_weights, self._neg_chain(t))
+                        w * v for w, v in zip(src.signed_weights, vals)
                     )
                 terms = [
                     ((mp.mpf(1),), CauchyKernel(
@@ -414,68 +413,51 @@ class MopSolution:
             self._cache[key] = FormKernel(terms, self.precision_bits)
         return self._cache[key]
 
-    def _base_densities(self) -> list:
-        """shat1_{1,k} on the base support for every nonempty block k: the
-        stand-ins for the level-0 Cauchy sums there."""
-        return [
-            self.pair.base_density1(k)
-            for k in range(self.index.m1 + 1)
-            if self.coeffs[k]
-        ]
-
-    def _neg_chain(self, t: int) -> tuple:
-        """Values of A_{-t} on the support of the second system's generator
-        t.  For t = 0 (A_0 on the base) the cached densities shat1_{1,k}
-        there stand in for the level-0 Cauchy sums."""
-        key = ("chain", t)
-        if key not in self._cache:
-            kernel = self._form_kernel(-t)
-            points = self.pair.s2.generators[t].support_points
-            with working(self.precision_bits):
-                if t == 0:
-                    dens = self._base_densities()
-                    vals = [
-                        kernel(x, factors=[d[p] for d in dens])
-                        for p, x in enumerate(points)
-                    ]
-                else:
-                    vals = [kernel(y) for y in points]
-            self._cache[key] = tuple(vals)
-        return self._cache[key]
+    def _support_store(self, j: int):
+        """The values of A_j on the support of the unified measure j, one
+        slot per point (None until computed), or the tuple of all of them
+        once ``form_on_support`` has read the level whole."""
+        store = self._cache.get(("support", j))
+        if store is None:
+            if j > self.index.m1 or j < -self.index.m2:
+                raise IndexError(f"support index {j} out of range")
+            n = len(self.pair.measure(j).support_points)
+            store = self._cache[("support", j)] = [None] * n
+        return store
 
     def form_on_support(self, j: int) -> tuple:
         """Values of A_j on the support of the unified measure j,
-        j = -m2, ..., m1."""
-        if j > self.index.m1 or j < -self.index.m2:
-            raise IndexError(f"support index {j} out of range")
-        if j <= 0:
-            return self._neg_chain(-j)
-        key = ("support", j)
-        if key not in self._cache:
-            meas = self.pair.s1.generators[j]
-            with working(self.precision_bits):
-                self._cache[key] = tuple(
-                    self.form(j, x) for x in meas.support_points
-                )
-        return self._cache[key]
+        j = -m2, ..., m1: every point of ``support_value``'s store."""
+        store = self._support_store(j)
+        if type(store) is not tuple:
+            store = self._cache[("support", j)] = tuple(
+                self.support_value(j, p) for p in range(len(store))
+            )
+        return store
 
     def support_value(self, j: int, p: int):
-        """``form_on_support(j)[p]``, the same number: read from that tuple
-        when it is cached, computed alone at point p otherwise."""
-        if j > self.index.m1 or j < -self.index.m2:
-            raise IndexError(f"support index {j} out of range")
-        key = ("chain", -j) if j <= 0 else ("support", j)
-        if key in self._cache:
-            return self._cache[key][p]
-        if j > 0:
-            return self.form(j, self.pair.s1.generators[j].support_points[p])
-        kernel = self._form_kernel(j)
-        x = self.pair.s2.generators[-j].support_points[p]
-        with working(self.precision_bits):
-            if j == 0:
-                dens = self._base_densities()
-                return kernel(x, factors=[d[p] for d in dens])
-            return kernel(x)
+        """A_j at point p of the support of the unified measure j,
+        computed once per point: the one evaluation of the forms on the
+        supports.  For j > 0 it is ``form``; for j = 0 the cached densities
+        shat1_{1,k} at the base point stand in for the level-0 Cauchy sums;
+        for j < 0 it is the level's ``FormKernel``."""
+        store = self._support_store(j)
+        if store[p] is None:
+            x = self.pair.measure(j).support_points[p]
+            if j > 0:
+                store[p] = self.form(j, x)
+            else:
+                kernel = self._form_kernel(j)
+                with working(self.precision_bits):
+                    if j == 0:
+                        store[p] = kernel(x, factors=[
+                            self.pair.base_density1(k)[p]
+                            for k in range(self.index.m1 + 1)
+                            if self.coeffs[k]
+                        ])
+                    else:
+                        store[p] = kernel(x)
+        return store[p]
 
 
 def solve_mop(pair: NikishinPair, index: IndexPair) -> MopSolution:

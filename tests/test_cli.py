@@ -501,6 +501,14 @@ def test_main_bad_tolerances_ratios_or_ray_exit_two(tmp_path, capsys, over, mess
         ({"mass_points": [[4, float("inf")]]}, "spec numbers must be finite"),
         ({"interval": [-(10**400), 3]}, "supports of consecutive generators"),
         ({"mass_points": 5}, "system1[1]: mass_points must be a list of"),
+        # Keys a family never reads, and signs that equal +-1 but hash
+        # apart from it, would only move the config hash.
+        ({"alpha": 7, "beta": 3}, "system1[1]: alpha is read only by the jacobi"),
+        ({"beta": 3}, "system1[1]: beta is read only by the jacobi"),
+        ({"family": "legendre", "alpha": 0.5},
+         "alpha is read only by the jacobi family, got alpha=0.5 on 'legendre'"),
+        ({"sign": True}, "system1[1]: sign must be the int +1 or -1, got True"),
+        ({"sign": -1.0}, "sign must be the int +1 or -1, got -1.0"),
     ],
 )
 def test_main_bad_spec_number_exits_two(tmp_path, capsys, upper, message):

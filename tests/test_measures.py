@@ -187,8 +187,9 @@ def test_rules_and_package_do_not_import_scipy():
         "for info in pkgutil.iter_modules(nikmop.__path__):\n"
         "    importlib.import_module('nikmop.' + info.name)\n"
         "for family in ('chebyshev1', 'chebyshev2', 'legendre', 'jacobi'):\n"
+        "    exps = dict(alpha=0.5, beta=-0.5) if family == 'jacobi' else {}\n"
         "    build_gauss_rule(WeightSpec(family=family, interval=(-1, 1),\n"
-        "                     alpha=0.5, beta=-0.5), 8, 128)\n"
+        "                     **exps), 8, 128)\n"
         "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
     )
     src = os.path.dirname(os.path.dirname(nikmop.__file__))

@@ -1,4 +1,5 @@
 import bisect
+import collections
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from nikmop.precision import pivot_threshold, refine_tolerance, working
 from conftest import (
     BASE,
     BITS,
+    DOWN1,
     HI_BITS,
     UP1,
     make_pair,
@@ -507,10 +509,10 @@ def kernel_terms(sol, j):
             for k in range(j + 1, index.m1 + 1)
         ]
         return [t for t in terms if t[0]]
-    t = -j - 1
-    src = pair.s2.generators[t]
+    src = pair.measure(j + 1)
+    vals = sol.form_on_support(j + 1)
     with working(sol.precision_bits):
-        weights = [w * v for w, v in zip(src.signed_weights, sol._neg_chain(t))]
+        weights = [w * v for w, v in zip(src.signed_weights, vals)]
     return [((mp.mpf(1),), weights, src.support_points)]
 
 
@@ -710,7 +712,8 @@ def eager_varying_data(solution, zero_sets):
 def test_varying_data_matches_eager_reference(request, name, max_size):
     # epsilon from one support value per level, and K and kappa on first
     # read, equal the eager computation exactly; reading epsilon alone
-    # leaves A_{-m2} on the last generator's support uncomputed.
+    # computes A_{-m2} on the last generator's support at the reference
+    # point only.
     from nikmop.mop import _reference_index, compute_varying_data
 
     pair = request.getfixturevalue(name)
@@ -727,7 +730,9 @@ def test_varying_data_matches_eager_reference(request, name, max_size):
             extract_Q(sol, j)
         vd = compute_varying_data(sol, zsets)
         assert vd.epsilon == epsilon, index
-        assert ("chain", index.m2) not in sol._cache, index
+        store = sol._cache[("support", -index.m2)]
+        computed = [p for p, v in enumerate(store) if v is not None]
+        assert computed == [refs[-index.m2]], index
         assert vd.K == K and vd.kappa == kappa, index
         for j in levels:
             meas = pair.measure(j)
@@ -772,14 +777,49 @@ def test_support_value_is_the_support_tuple_entry(pair11, atom_pair):
                         (atom_pair, IndexPair((6,), (5,)))):
         alone = solve_mop(pair, index)
         tuples = solve_mop(pair, index)
-        # Downward, so no level's tuple is cached before it is read alone.
+        # Downward, so no level's store exists before it is read alone.
         for j in range(index.m1, -index.m2 - 1, -1):
-            key = ("support", j) if j > 0 else ("chain", -j)
-            assert key not in alone._cache
+            assert ("support", j) not in alone._cache
             want = tuples.form_on_support(j)
             got = [alone.support_value(j, p) for p in range(len(want))]
             assert got == list(want), j
             assert [tuples.support_value(j, p) for p in range(len(want))] == got
+            # A level computed point by point reads back as one tuple.
+            whole = alone.form_on_support(j)
+            assert whole == want and alone.form_on_support(j) is whole
+
+
+def test_support_points_are_evaluated_once(monkeypatch):
+    # Every value of A_j on a support is computed once, whichever reader
+    # asks first: epsilon then kappa, as the ``ratio`` kind reads them,
+    # and epsilon of a ``diagnostics`` index whose level -m2 holds no
+    # zeros, where the level -1 kernel reads the level-0 values after
+    # epsilon has computed one of them.
+    from nikmop.asymptotics import varying_cached
+    from nikmop.fixed import FormKernel
+
+    pair = make_pair((BASE, UP1), (BASE, DOWN1), nodes=16)
+    evaluate = FormKernel.__call__
+    calls = collections.Counter()
+
+    def counted(self, z, slope=False, factors=None):
+        calls[id(self), z] += 1
+        return evaluate(self, z, slope, factors)
+
+    for index, reads in ((IndexPair((3, 2), (3, 1)), ("epsilon", "kappa")),
+                         (IndexPair((2, 2), (3, 0)), ("epsilon",))):
+        sol = solve_cached(pair, index)
+        for j in range(-index.m2, index.m1 + 1):
+            extract_cached(sol, j)
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(FormKernel, "__call__", counted)
+            vd = varying_cached(pair, index)
+            for name in reads:
+                getattr(vd, name)
+        assert calls, index
+        repeated = [key for key, count in calls.items() if count > 1]
+        assert not repeated, (index, len(repeated))
 
 
 def test_normality_violation_names_precision():
