@@ -714,17 +714,16 @@ def run_hermite_pade(config: ExperimentConfig) -> dict:
                     float(abs(tri1 - neg) / abs(neg)),
                     float(abs(tri2 - direct) / abs(direct)),
                 )
+                if j == 0:
+                    worst_ident = max(
+                        worst_ident, float(abs(direct - neg) / abs(neg))
+                    )
                 rows.append((j, repr(z), rel))
             moments = remainder_moments(sol, j)
             if moments:
                 worst_moment = max(worst_moment, float(max(moments)))
             slope = far_field_slope(sol, j)
             slopes_ok = slopes_ok and slope <= -(index.n2[j] + 1) + SLOPE_SLACK
-        for z in points:
-            zv = mp.mpmathify(z)
-            r0 = remainder_integral(sol, 0, zv)
-            a_neg = sol.form(-1, zv)
-            worst_ident = max(worst_ident, float(abs(r0 - a_neg) / abs(a_neg)))
     defect = MatrixMarkov(pair).rank_one_defect()
     return {
         "checks": [
@@ -855,10 +854,16 @@ def _write_outputs(out_dir: str, config: ExperimentConfig, result: dict, elapsed
 
 def run(config: ExperimentConfig, out_dir: str) -> int:
     """Run the config's kind and write its outputs into the existing
-    directory ``out_dir``."""
+    directory ``out_dir``; an output path that cannot be written (a
+    directory where a file goes, or the reverse) exits 2."""
     start = time.monotonic()
     result = RUNNERS[config.kind](config)
-    summary = _write_outputs(out_dir, config, result, time.monotonic() - start)
+    try:
+        summary = _write_outputs(out_dir, config, result, time.monotonic() - start)
+    except OSError as exc:
+        print(f"config error: cannot write the outputs to {out_dir!r}: {exc}",
+              file=sys.stderr)
+        return 2
     for c in summary["checks"]:
         status = "PASS" if c["passed"] else "FAIL"
         print(f"[{status}] {config.kind}:{c['name']}")

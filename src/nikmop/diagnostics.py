@@ -223,9 +223,16 @@ def orthogonality_residuals(solution: MopSolution, zero_sets: dict) -> dict:
     pair = solution.pair
     worst = {"first_side": mp.mpf(0), "second_side": mp.mpf(0), "chained": mp.mpf(0)}
 
-    def bump(key, num, den):
-        if den > 0:
-            worst[key] = max(worst[key], abs(num) / den)
+    def bump(key, terms, xs, powers):
+        for nu in range(powers):
+            num = mp.mpf(0)
+            den = mp.mpf(0)
+            for t, x in zip(terms, xs):
+                c = t * x**nu
+                num += c
+                den += abs(c)
+            if den > 0:
+                worst[key] = max(worst[key], abs(num) / den)
 
     with working(solution.precision_bits):
         for j in range(1, index.m1 + 1):
@@ -238,14 +245,7 @@ def orthogonality_residuals(solution: MopSolution, zero_sets: dict) -> dict:
                 w * av / q_lo.poly_eval(x)
                 for w, x, av in zip(meas.signed_weights, meas.support_points, avals)
             ]
-            for nu in range(index.tail_sum1(j) - 1):
-                num = mp.mpf(0)
-                den = mp.mpf(0)
-                for t, x in zip(terms, meas.support_points):
-                    c = t * x**nu
-                    num += c
-                    den += abs(c)
-                bump("first_side", num, den)
+            bump("first_side", terms, meas.support_points, index.tail_sum1(j) - 1)
         for j in range(index.m2 + 1):
             meas = pair.measure(-j)
             avals = solution.form_on_support(-j)
@@ -254,26 +254,10 @@ def orthogonality_residuals(solution: MopSolution, zero_sets: dict) -> dict:
                 w * av / (q_lo.poly_eval(x) if q_lo else mp.mpf(1))
                 for w, x, av in zip(meas.signed_weights, meas.support_points, avals)
             ]
-            for nu in range(index.tail_sum2(j)):
-                num = mp.mpf(0)
-                den = mp.mpf(0)
-                for t, x in zip(terms, meas.support_points):
-                    c = t * x**nu
-                    num += c
-                    den += abs(c)
-                bump("second_side", num, den)
-            system2 = pair.s2
+            bump("second_side", terms, meas.support_points, index.tail_sum2(j))
             for k in range(j, index.m2 + 1):
-                weights = system2.s_weights(j, k)
-                xs = pair.measure(-j).support_points
-                for nu in range(index.n2[k]):
-                    num = mp.mpf(0)
-                    den = mp.mpf(0)
-                    for w, x, av in zip(weights, xs, avals):
-                        c = w * av * x**nu
-                        num += c
-                        den += abs(c)
-                    bump("chained", num, den)
+                terms = [w * av for w, av in zip(pair.s2.s_weights(j, k), avals)]
+                bump("chained", terms, meas.support_points, index.n2[k])
     return worst
 
 

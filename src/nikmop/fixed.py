@@ -90,16 +90,16 @@ class CauchyKernel:
 
     Weights and points are stored exactly as ints, each at one common
     exponent; the points carry ``CAUCHY_GUARD_BITS`` extra zero bits so
-    that most z convert exactly.  Every distance z - x_i carries a relative
-    error of at most 2^-(bits+guard) (see ``place``).  Each term is one
-    floor division at an output scale chosen from Sum |w| and the nearest
-    and farthest distance, so the truncation of all terms together stays
+    that most z lie on their grid and leave the points unshifted.  Every
+    distance z - x_i is exact (see ``place``).  Each term is one floor
+    division at an output scale chosen from Sum |w| and the nearest and
+    farthest distance, so the truncation of all terms together stays
     within 2^-(bits+guard) Sum |w/(z-x)|; the slope divides each term once
     more by the same distance and is bounded the same way against
     Sum |w/(z-x)^2|.  The exact int sums are converted to mpf once, at the
     ambient precision p, so
 
-        |value - S(z)| <= 2^-p |S(z)| + 2^-(bits+guard-2) Sum |w/(z-x)|,
+        |value - S(z)| <= 2^-p |S(z)| + 2^-(bits+guard-1) Sum |w/(z-x)|,
 
     and the same for the slope, within the 2^-bits Sum |w/(z-x)| that a
     sum of terms rounded to ``bits`` meets.  A complex z runs the same
@@ -125,57 +125,44 @@ class CauchyKernel:
 
     def place(self, parts) -> tuple:
         """z, given as its ``exact_parts``, and the points as ints on one
-        grid: (xs, zs, grid, near_bits, far_bits), z = zs * 2^grid with zs
-        one int for real z and two for complex z.  Kernels over the same
-        points accept each other's placements.
+        grid, exactly: (xs, zs, grid, near_bits, far_bits), z = zs * 2^grid
+        with zs one int for real z and two for complex z.  Kernels over the
+        same points accept each other's placements.
 
-        The grid starts as the points' own.  A z finer than that is
-        rounded onto it, and the grid is refined until z lies at least
-        2^(bits+guard+1) grid units from every point, or z converts
-        exactly.  Then, in grid units, 2^near_bits <= min |z - x| and
+        The grid is the points' own when z lies on it or on a coarser one,
+        and xs is then the kernel's own point list; otherwise it is z's own
+        and the points are shifted onto it.  In grid units every distance
+        z - x is an exact int, 2^near_bits <= min |z - x| and
         max |z - x| < 2^far_bits.
         """
         mans, exp = parts
-        complex_z = len(mans) == 2
-        grid = self._x_exp
-        xs, lo, hi = self._x, self._lo, self._hi
-        target = self.bits + CAUCHY_GUARD_BITS
-        while True:
-            if exp >= grid:
-                zs = [m << (exp - grid) for m in mans]
-                rounded = False
-            else:
-                shift = grid - exp
-                zs = [(m + (1 << (shift - 1))) >> shift for m in mans]
-                rounded = True
-            zr = zs[0]
-            im2 = zs[1] * zs[1] if complex_z else 0
-            far = max(abs(zr - lo), abs(zr - hi))
-            if zr > hi:
-                near = zr - hi
-            elif zr < lo:
-                near = lo - zr
-            else:
-                near = min(abs(zr - x) for x in xs)
-            if complex_z:
-                near_bits = ((near * near + im2).bit_length() - 1) // 2
-                far_bits = ((far * far + im2).bit_length() + 1) // 2
-            else:
-                near_bits = near.bit_length() - 1
-                far_bits = far.bit_length()
-            if rounded and near_bits <= target:
-                # Too close for this grid: refine it to what the distance
-                # needs, or all the way to z's own when it rounded onto
-                # a point.
-                finer = grid - (target + 2 - near_bits) if near_bits > 0 else exp
-                shift = self._x_exp - max(finer, exp)
-                grid = self._x_exp - shift
-                xs = [x << shift for x in self._x]
-                lo, hi = self._lo << shift, self._hi << shift
-                continue
-            if near_bits < 0:
-                raise ZeroDivisionError("z lies on a point of the Cauchy sum")
-            return xs, zs, grid, near_bits, far_bits
+        if exp >= self._x_exp:
+            grid = self._x_exp
+            xs, lo, hi = self._x, self._lo, self._hi
+            zs = [m << (exp - grid) for m in mans]
+        else:
+            grid, zs = exp, mans
+            shift = self._x_exp - exp
+            xs = [x << shift for x in self._x]
+            lo, hi = self._lo << shift, self._hi << shift
+        zr = zs[0]
+        far = max(abs(zr - lo), abs(zr - hi))
+        if zr > hi:
+            near = zr - hi
+        elif zr < lo:
+            near = lo - zr
+        else:
+            near = min(abs(zr - x) for x in xs)
+        if len(zs) == 2:
+            im2 = zs[1] * zs[1]
+            near_bits = ((near * near + im2).bit_length() - 1) // 2
+            far_bits = ((far * far + im2).bit_length() + 1) // 2
+        else:
+            near_bits = near.bit_length() - 1
+            far_bits = far.bit_length()
+        if near_bits < 0:
+            raise ZeroDivisionError("z lies on a point of the Cauchy sum")
+        return xs, zs, grid, near_bits, far_bits
 
     def sums(self, placed, slope: bool = False) -> tuple:
         """S(z), and with ``slope`` also S'(z), at a ``place``d z as exact
@@ -336,15 +323,16 @@ class FormKernel:
     of points (S_k = 1 for a bare block).
 
     The coefficients of all blocks are held exactly as ints at one
-    exponent.  z is read once to ``bits + FORM_GUARD_BITS`` bits relative
-    to |z| for Horner (``_Block``) and placed once on the points' grid
-    for every S_k (``CauchyKernel.place``).  Each block and its slope come
-    within (2d+2) 2^-(bits+guard) of their sums of magnitudes Sum |c_i z^i|
-    and Sum i |c_i z^(i-1)|; each S_k within 2^-(bits+38) of Sum |w/(z-x)|
-    (and its slope of Sum |w/(z-x)^2|).  The products p_k S_k and their
-    sum are exact ints, rounded once to the ambient precision p, so
+    exponent.  z is read exactly, once: Horner (``_Block``) runs on its
+    own mantissa and every S_k on one placement (``CauchyKernel.place``).
+    Horner floors at the block's unit are the only approximation of z's
+    powers: each block and its slope come within 2^-(bits+FORM_GUARD_BITS)
+    of their sums of magnitudes Sum |c_i z^i| and Sum i |c_i z^(i-1)|;
+    each S_k within 2^-(bits+CAUCHY_GUARD_BITS) of Sum |w/(z-x)| (and its
+    slope of Sum |w/(z-x)^2|).  The products p_k S_k and their sum are
+    exact ints, rounded once to the ambient precision p, so
 
-        |value - A(z)| <= 2^-p |A(z)| + 2^-(bits+36) Sigma,
+        |value - A(z)| <= 2^-p |A(z)| + 2^-(bits+38) Sigma,
 
     Sigma = sum_k Sum |c_i z^i| Sum |w/(z-x)|, the sum of the magnitudes
     of the terms of A(z); the slope meets the same bound against the sum
@@ -383,10 +371,6 @@ class FormKernel:
         top = max(abs(v) for v in zs).bit_length()
         # |z| lies in [2^zlo, 2^(zlo+2)).
         zlo = top - 1 + g if top else None
-        cut = top - self.bits - FORM_GUARD_BITS
-        if cut > 0:
-            zs = [(v + (1 << (cut - 1))) >> cut for v in zs]
-            g += cut
         if g > 0:
             zs = [v << g for v in zs]
             g = 0

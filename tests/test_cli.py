@@ -297,6 +297,24 @@ def test_main_out_naming_a_file_exits_two_before_the_run(tmp_path, monkeypatch, 
     assert taken.read_text() == ""
 
 
+@pytest.mark.parametrize(
+    "blocked, make",
+    [("summary.json", os.mkdir), ("metrics", lambda p: open(p, "w").close())],
+    ids=["summary_is_a_directory", "metrics_is_a_file"],
+)
+def test_main_blocked_output_path_exits_two(tmp_path, capsys, blocked, make):
+    # The run completes, then writing its outputs fails on the path.
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    make(str(out_dir / blocked))
+    path = write_config(tmp_path, config_dict(system2=[BASE_SPEC], max_size=1))
+    assert main(["--config", path, "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert str(out_dir / blocked) in err
+    assert "Traceback" not in err
+
+
 def test_main_writes_to_nikmop_out_by_default(tmp_path, monkeypatch):
     # --out is the only way to name the output directory.
     monkeypatch.chdir(tmp_path)

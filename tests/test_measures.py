@@ -11,7 +11,7 @@ from mpmath import mp
 
 import nikmop
 from nikmop import measures
-from nikmop.fixed import CauchyKernel
+from nikmop.fixed import CauchyKernel, exact_parts
 from nikmop.measures import (
     MeasureError,
     NikishinSystem,
@@ -21,6 +21,7 @@ from nikmop.measures import (
     check_cauchy_identity,
     nested_cauchy_transform,
 )
+from nikmop.mop import IndexPair, _scan_grid, solve_cached
 from nikmop.precision import refine_tolerance, working
 
 from conftest import (
@@ -388,8 +389,8 @@ def fsum_sums(weights, points, z, bits):
 
 def kernel_points(lo, hi, bits):
     """Far, moderate, 1e-30 from either end of the hull, and complex.
-    Built at more bits than the kernel's, they are rounded onto its grid
-    (or force a finer one) instead of converting exactly."""
+    Built at more bits than the kernel's, they lie on grids finer than
+    its points', which ``place`` then shifts onto theirs."""
     with working(bits):
         tiny = mp.mpf(10) ** -30
         mid, rad = (lo + hi) / 2, (hi - lo) / 2
@@ -468,6 +469,53 @@ def test_kernel_raises_on_a_node(name):
                     kernel.value_and_slope(z)
                 with pytest.raises(ZeroDivisionError):
                     meas.cauchy(z)
+
+
+def dyadic(mans, exp):
+    """The exact values of the ints ``mans`` at the exponent ``exp``."""
+    return [Fraction(m) * Fraction(2) ** exp for m in mans]
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
+def test_place_reads_a_finer_z_exactly(name):
+    # z finer than the points' grid: the grid becomes z's own, and z and
+    # every point land on it unrounded.
+    meas = build_gauss_rule(KERNEL_SPECS[name], 16, BITS)
+    kernel = CauchyKernel(meas.signed_weights, meas.support_points, BITS)
+    lo, hi = meas.hull
+    with working(5 * BITS):
+        tiny = mp.mpf(2) ** (-4 * BITS)
+        zs = (hi + tiny, mp.mpc(lo + (hi - lo) / 3, tiny))
+        assert zs[0] - hi == tiny
+    for z in zs:
+        mans, exp = exact_parts(z)
+        xs, placed, grid, near_bits, far_bits = kernel.place((mans, exp))
+        assert dyadic(placed, grid) == dyadic(mans, exp)
+        assert grid == exp < kernel._x_exp
+        assert dyadic(xs, grid) == [
+            dyadic(*exact_parts(x))[0] for x in meas.support_points
+        ]
+        dist2 = [(placed[0] - x) ** 2 + (placed[1] ** 2 if len(placed) == 2 else 0)
+                 for x in xs]
+        assert 4 ** near_bits <= min(dist2) and max(dist2) < 4 ** far_bits
+
+
+def test_place_keeps_the_points_for_scan_grid_points(pair11):
+    # The points' CAUCHY_GUARD_BITS zero bits put every scan-grid point at
+    # the working precision on their grid or a coarser one, so ``place``
+    # hands back the kernel's own point list, unshifted.
+    sol = solve_cached(pair11, IndexPair((3, 2), (3, 1)))
+    placed = 0
+    with working(BITS):
+        for j in range(-pair11.m2, pair11.m1 + 1):
+            lo, hi = pair11.hull(j)
+            kernels = [k for _, k in sol._form_kernel(j)._terms if k is not None]
+            for size in (16, 64):
+                for x in _scan_grid(lo, hi, size, BITS):
+                    for kernel in kernels:
+                        assert kernel.place(exact_parts(x))[0] is kernel._x, (j, x)
+                        placed += 1
+    assert placed > 0
 
 
 def test_poly_helpers_round_trip():
