@@ -165,7 +165,7 @@ class NikishinPair:
 
     s1: NikishinSystem
     s2: NikishinSystem
-    #: Mixed moments and atom scan ladders, the only store of pair data.
+    #: Mixed moments, the only store of pair data.
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -227,20 +227,6 @@ class NikishinPair:
                     for w, a, b, x in zip(
                         base.signed_weights, d1, d2, base.support_points
                     )
-                )
-        return self._cache[key]
-
-    def scan_ladder(self, j: int, bits: int) -> tuple:
-        """The atom ladder of the unified measure j at ``bits``
-        (``_atom_scan_points``): one ascending rung per decade, outermost
-        first; built on first use."""
-        key = ("ladder", j, bits)
-        if key not in self._cache:
-            lo, hi = self.hull(j)
-            rel_tol = refine_tolerance(bits)
-            with working(bits):
-                self._cache[key] = _atom_scan_points(
-                    self.measure(j), lo, hi, rel_tol
                 )
         return self._cache[key]
 
@@ -652,46 +638,22 @@ def _merge_sorted(*lists) -> list:
     return out
 
 
-def _atom_scan_points(measure, lo, hi, rel_tol) -> tuple:
-    """Geometric ladders of scan points closing in on each mass point, as
-    rungs: rung d holds, ascending, the points rad / 10^(d+1) to either
-    side of every atom that lie inside the hull (rad its half width).
-
-    Zeros are attracted to atoms at a geometric rate in the index size,
-    so past a modest size the nearest zero falls between consecutive
-    points of any fixed grid.  Decade-spaced offsets down to the
-    refinement tolerance keep one scan point on each side of the zero
-    no matter how close it has crept.
-    """
-    rungs = []
-    step = (hi - lo) / 2
-    for _ in range(int(mp.ceil(-mp.log10(rel_tol))) + 2):
-        step = step / 10
-        rungs.append(tuple(sorted(
-            x
-            for loc, _ in measure.atoms
-            for x in (loc - step, loc + step)
-            if lo < x < hi
-        )))
-    return tuple(rungs)
-
-
 def extract_Q(solution: MopSolution, j: int) -> ZeroSet:
     """Locate the zeros of the form A_j inside the hull of the unified
-    measure j by a sign scan on a Chebyshev-distributed grid (4x the
-    predicted count, doubled on shortfall up to 4096 points), built in
-    ints from one mp.cos (``_scan_grid``).  When the measure carries mass
-    points and the plain grid finds fewer sign changes than predicted, the
-    level's atom ladder (``NikishinPair.scan_ladder``) is walked inward
-    before any doubling: one decade at a time is merged into the grid,
-    outermost first, until the scan finds the predicted count.  A ladder
-    walked to its end stays merged for the doubled grids.  Every scan
-    value comes from ``MopSolution.form``, that is from the level's
-    ``FormKernel``, and no point is evaluated twice: a rescan evaluates
-    only its new points.
+    measure j by a sign scan.  The scan points are a Chebyshev-distributed
+    grid (4x the predicted count, doubled on shortfall up to 4096 points),
+    built in ints from one mp.cos (``_scan_grid``), merged with the mass
+    points of the measure; the doubled grids are merged with them again.
+    A_j is analytic at each mass point of measure j, since its Cauchy sums
+    run over measures whose hulls are disjoint from hull(j).  A zero that
+    a mass point attracts lies between it and the nearest grid point on
+    that side, so the mass point alone brackets it for as long as the sign
+    of A_j there is resolved.  Every scan value comes from
+    ``MopSolution.form``, that is from the level's ``FormKernel``, and no
+    point is evaluated twice: a rescan evaluates only its new points.
 
     The predicted count is exact, so once the scan finds it every bracket
-    holds exactly one zero, and the walk can stop there.  Each sign
+    holds exactly one zero, and the scan can stop there.  Each sign
     bracket is refined by a safeguarded Newton iteration on
     ``MopSolution.form_and_slope`` (_safeguarded_newton): Newton steps
     that stay inside the bracket and at least halve every second step,
@@ -724,11 +686,10 @@ def extract_Q(solution: MopSolution, j: int) -> ZeroSet:
         return solution.form_and_slope(j, x)
 
     with working(bits):
+        atoms = [loc for loc, _ in pair.measure(j).atoms]
         grid_size = min(SCAN_GRID_FACTOR * expected, SCAN_GRID_CAP)
-        xs = _scan_grid(lo, hi, grid_size, bits)
-        rungs = None  # the atom ladder, asked for at the first shortfall
-        walked = 0
         while True:
+            xs = _merge_sorted(_scan_grid(lo, hi, grid_size, bits), atoms)
             vals = [f(x) for x in xs]
             zeros = []
             brackets = []
@@ -747,20 +708,12 @@ def extract_Q(solution: MopSolution, j: int) -> ZeroSet:
                 )
             if found == expected:
                 break
-            if rungs is None:
-                atoms = pair.measure(j).atoms
-                rungs = pair.scan_ladder(j, bits) if atoms else ()
-            if walked < len(rungs):
-                xs = _merge_sorted(xs, rungs[walked])
-                walked += 1
-                continue
             if grid_size >= SCAN_GRID_CAP:
                 raise ZeroCountMismatch(
                     f"form {j} of {index}: only {found} sign changes up "
                     f"to a {len(xs)}-point grid, predicted {expected}"
                 )
             grid_size = min(2 * grid_size, SCAN_GRID_CAP)
-            xs = _merge_sorted(_scan_grid(lo, hi, grid_size, bits), *rungs)
         for i in brackets:
             zeros.append(
                 _safeguarded_newton(

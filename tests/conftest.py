@@ -25,6 +25,13 @@ DOWN1 = WeightSpec(family="legendre", interval=(-3, -2))
 ATOM_BASE = WeightSpec(
     family="chebyshev2", interval=(-1, 1), mass_points=((1.5, 0.5),)
 )
+TWO_ATOM_BASE = WeightSpec(
+    family="chebyshev2", interval=(-1, 1),
+    mass_points=((1.5, 0.5), (-1.3, 0.25)),
+)
+INNER_ATOM_BASE = WeightSpec(
+    family="chebyshev2", interval=(-1, 1), mass_points=((0.4, 0.5),)
+)
 
 
 def monic_chebyshev_u(n):
@@ -151,3 +158,15 @@ def pair11_hi():
 @pytest.fixture(scope="session")
 def atom_pair():
     return make_pair((ATOM_BASE,), (ATOM_BASE,))
+
+
+@pytest.fixture(scope="session")
+def two_atom_pair():
+    """Mass points on both sides of the base interval."""
+    return make_pair((TWO_ATOM_BASE,), (TWO_ATOM_BASE,))
+
+
+@pytest.fixture(scope="session")
+def inner_atom_pair():
+    """A mass point inside the base interval."""
+    return make_pair((INNER_ATOM_BASE,), (INNER_ATOM_BASE,))

@@ -220,7 +220,10 @@ def bisection_zeros(sol, j, grid=200, form=None):
     return sorted(zeros)
 
 
-@pytest.mark.parametrize("name, max_size", [("pair11", 5), ("atom_pair", 10)])
+@pytest.mark.parametrize("name, max_size", [
+    ("pair11", 5), ("atom_pair", 10), ("two_atom_pair", 10),
+    ("inner_atom_pair", 10),
+])
 def test_extract_matches_bisection_reference(request, name, max_size):
     pair = request.getfixturevalue(name)
     tol = refine_tolerance(BITS)
@@ -351,85 +354,62 @@ def test_shortfall_doubles_the_grid(pair11, monkeypatch):
             assert abs(z - ref) <= tol * max(1, abs(z))
 
 
-def test_atom_ladder_built_once_and_merged_on_shortfall(atom_pair, monkeypatch):
-    # A fresh pair over the same systems holds no ladder yet.  Across the
-    # sweep the ladder of level 0 is built once; an extraction whose plain
-    # grid falls short merges it one rung at a time, outermost first, and
-    # stops at the predicted count; no extraction evaluates a point twice.
-    pair = atom_pair.swapped()
-    built, asked, merges, points = [], [], [], []
-    atom_scan_points = mop._atom_scan_points
-    scan_ladder = mop.NikishinPair.scan_ladder
-    merge_sorted = mop._merge_sorted
+def test_atom_scanned_from_the_first_grid(atom_pair, monkeypatch):
+    # Across the sweep past (1; 0), whose A_0 has no zero, every
+    # extraction on the atom level scans the mass point with its first
+    # grid, evaluates no point twice and finds the predicted count without
+    # doubling.
+    grids, points = [], []
+    scan_grid = mop._scan_grid
     form = MopSolution.form
 
-    def counting_build(measure, lo, hi, rel_tol):
-        built.append(measure)
-        return atom_scan_points(measure, lo, hi, rel_tol)
-
-    def counting_ask(self, j, bits):
-        asked.append((j, bits, len(points)))
-        return scan_ladder(self, j, bits)
-
-    def counting_merge(*lists):
-        merges.append(lists)
-        return merge_sorted(*lists)
+    def counting_grid(lo, hi, size, bits):
+        grids.append(size)
+        return scan_grid(lo, hi, size, bits)
 
     def counting_form(self, j, z):
         points.append(z)
         return form(self, j, z)
 
-    monkeypatch.setattr(mop, "_atom_scan_points", counting_build)
-    monkeypatch.setattr(mop.NikishinPair, "scan_ladder", counting_ask)
-    monkeypatch.setattr(mop, "_merge_sorted", counting_merge)
+    monkeypatch.setattr(mop, "_scan_grid", counting_grid)
     monkeypatch.setattr(MopSolution, "form", counting_form)
-    walks = []
-    for index in decreasing_indices(pair.m1, pair.m2, 10):
-        sol = solve_cached(pair, index)
+    (atom,) = [loc for loc, _ in atom_pair.measure(0).atoms]
+    for index in decreasing_indices(atom_pair.m1, atom_pair.m2, 10)[1:]:
+        sol = solve_cached(atom_pair, index)
+        grids.clear()
         points.clear()
-        merges.clear()
-        before = len(asked)
         zs = extract_Q(sol, 0)
         assert len(zs.zeros) == index.zero_count(0)
+        assert grids == [mop.SCAN_GRID_FACTOR * index.zero_count(0)], index
+        assert atom in points, index
         assert len(points) == len(set(points)), index
-        # Only the plain grid was scanned when the ladder was asked for.
-        for _, _, seen in asked[before:]:
-            assert seen == mop.SCAN_GRID_FACTOR * index.zero_count(0), index
-        if merges:
-            rungs = scan_ladder(pair, 0, BITS)
-            assert [rung for _, rung in merges] == list(rungs[: len(merges)])
-            walks.append(len(merges))
-    assert {(j, bits) for j, bits, _ in asked} == {(0, BITS)}
-    assert len(built) == 1
-    assert walks and len(walks) < len(decreasing_indices(pair.m1, pair.m2, 10))
-    assert min(walks) < len(scan_ladder(pair, 0, BITS))
-    # Once per (level, bits): another precision builds its own ladder.
-    pair.scan_ladder(0, BITS)
-    pair.scan_ladder(0, HI_BITS)
-    assert len(built) == 2
 
 
-def test_walked_out_ladder_stays_merged_for_doubling(atom_pair, monkeypatch):
-    # At one point per predicted zero, A_0 of (5; 4) on the atom pair still
-    # falls short with every rung merged, so the scan doubles its grid with
-    # the whole ladder merged into it.
+def test_shortfall_doubles_the_grid_with_the_atom(atom_pair, monkeypatch):
+    # At one point per predicted zero, A_0 of (5; 4) on the atom pair falls
+    # short on its first grid even with the mass point merged, so the scan
+    # doubles once; the doubled grid holds the mass point too.
     monkeypatch.setattr(mop, "SCAN_GRID_FACTOR", 1)
-    merges = []
+    grids, scans = [], []
+    scan_grid = mop._scan_grid
     merge_sorted = mop._merge_sorted
 
-    def counting_merge(*lists):
-        merges.append(lists)
-        return merge_sorted(*lists)
+    def counting_grid(lo, hi, size, bits):
+        grids.append(size)
+        return scan_grid(lo, hi, size, bits)
 
+    def counting_merge(*lists):
+        scans.append(merge_sorted(*lists))
+        return scans[-1]
+
+    monkeypatch.setattr(mop, "_scan_grid", counting_grid)
     monkeypatch.setattr(mop, "_merge_sorted", counting_merge)
     index = IndexPair((5,), (4,))
     sol = solve_mop(atom_pair, index)
     got = extract_Q(sol, 0).zeros
-    rungs = atom_pair.scan_ladder(0, BITS)
-    walked = [lists[1] for lists in merges if len(lists) == 2]
-    assert walked == list(rungs)
-    doubled = [lists for lists in merges if len(lists) > 2]
-    assert doubled and all(lists[1:] == rungs for lists in doubled)
+    assert grids == [4, 8]
+    (atom,) = [loc for loc, _ in atom_pair.measure(0).atoms]
+    assert len(scans) == 2 and all(atom in xs for xs in scans)
     want = bisection_zeros(sol, 0)
     assert len(got) == len(want) == index.zero_count(0)
     tol = refine_tolerance(BITS)
@@ -438,20 +418,16 @@ def test_walked_out_ladder_stays_merged_for_doubling(atom_pair, monkeypatch):
             assert abs(z - ref) <= tol * max(1, abs(z))
 
 
-@pytest.mark.parametrize("bits, decades", [(BITS, 66), (HI_BITS, 130)])
-def test_scan_ladder_length_ignores_the_ambient_precision(
-    atom_pair, bits, decades
-):
-    # The refinement tolerance, and with it the ladder's decade count, is a
-    # value of ``bits`` alone, whichever precision the first caller holds.
-    tolerances, lengths = set(), set()
+@pytest.mark.parametrize("bits", [BITS, HI_BITS])
+def test_refine_tolerance_ignores_the_ambient_precision(bits):
+    # The refinement tolerance is a value of ``bits`` alone, whichever
+    # precision the first caller holds.
+    tolerances = set()
     for ambient in (53, 256, 512):
         refine_tolerance.cache_clear()
         with working(ambient):
             tolerances.add(refine_tolerance(bits))
-            lengths.add(len(atom_pair.swapped().scan_ladder(0, bits)))
     assert len(tolerances) == 1
-    assert lengths == {decades}
 
 
 def test_fsum_reference_form_matches_kernel_form(pair21):

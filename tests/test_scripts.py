@@ -1,7 +1,9 @@
 """Smoke runs of the scripts under ``scripts/`` at small sizes, and the
 configs that those scripts and the benchmark hand to the CLI."""
 
+import collections
 import importlib.util
+import json
 import os
 import pathlib
 import subprocess
@@ -23,6 +25,7 @@ def load(name, path):
 
 make_configs = load("make_configs", ROOT / "scripts" / "make_configs.py")
 workloads = load("workloads", ROOT / "perfbench" / "workloads.py")
+identity_runs = load("identity_runs", ROOT / "scripts" / "identity_runs.py")
 
 
 def run_script(name, *args):
@@ -55,3 +58,22 @@ def test_benchmark_configs_parse(workload, seed):
     # repetition of the benchmark.
     for data in workloads.configs(workload, seed):
         assert ExperimentConfig.from_dict(data).kind == data["kind"]
+
+
+def test_identity_runs_enumerates_22_named_configs(monkeypatch):
+    # The 7 make_configs configs plus every workload config at seeds 1-3,
+    # under 22 distinct run names; enumerating them starts no run.  The
+    # classical interval of vector_equilibrium takes no seed, so its three
+    # runs share one config.
+    def no_run(*args, **kwargs):
+        raise AssertionError("identity_configs started a process")
+
+    monkeypatch.setattr(subprocess, "run", no_run)
+    configs = identity_runs.identity_configs()
+    assert len(configs) == 22
+    assert set(make_configs.CONFIGS) <= set(configs)
+    by_content = collections.defaultdict(list)
+    for name, data in configs.items():
+        by_content[json.dumps(data, sort_keys=True)].append(name)
+    shared = [names for names in by_content.values() if len(names) > 1]
+    assert shared == [[f"vector_equilibrium-s{seed}-1" for seed in (1, 2, 3)]]
